@@ -441,8 +441,43 @@ impl Interp {
         mut args: Vec<MufValue>,
         prob: &mut ProbSlot<'_>,
     ) -> Result<MufValue, LangError> {
+        // Projections own their argument here, so the projected element
+        // of an interpreter tuple moves out instead of cloning.
+        if matches!(op, OpName::Fst | OpName::Snd) {
+            if let [MufValue::Tuple(xs)] = args.as_mut_slice() {
+                let mut xs = std::mem::take(xs);
+                return match (op, xs.len()) {
+                    (OpName::Fst, n) if n >= 1 => Ok(xs.swap_remove(0)),
+                    (OpName::Snd, 2) => Ok(xs.swap_remove(1)),
+                    (OpName::Snd, n) if n > 2 => {
+                        xs.remove(0);
+                        Ok(MufValue::Tuple(xs))
+                    }
+                    _ => Err(LangError::new(Stage::Eval, "projection from empty tuple")),
+                };
+            }
+        }
+        match args.as_slice() {
+            [a] => self.eval_op_ref(op, &[a], prob),
+            [a, b] => self.eval_op_ref(op, &[a, b], prob),
+            [a, b, c] => self.eval_op_ref(op, &[a, b, c], prob),
+            _ => self.eval_op_ref(op, &args.iter().collect::<Vec<_>>(), prob),
+        }
+    }
+
+    /// The µF operator table over borrowed arguments — shared by the
+    /// interpreter (through [`Interp::eval_op`]) and the tape executor,
+    /// whose registers keep their values. Data operands are read in place:
+    /// no argument vector is collected and nothing is cloned unless the
+    /// operator itself needs an owned value.
+    pub(crate) fn eval_op_ref(
+        self: &Rc<Self>,
+        op: OpName,
+        args: &[&MufValue],
+        prob: &mut ProbSlot<'_>,
+    ) -> Result<MufValue, LangError> {
         // Nil poison propagates through strict operators.
-        if args.iter().any(MufValue::is_nil) {
+        if args.iter().any(|a| a.is_nil()) {
             return Ok(MufValue::Nil);
         }
         // Posterior-level operators.
@@ -464,79 +499,7 @@ impl Interp {
             }
             _ => {}
         }
-        // Projections work on interpreter tuples directly — and own their
-        // argument, so the projected element moves out instead of cloning.
-        if matches!(op, OpName::Fst | OpName::Snd) {
-            if let MufValue::Tuple(xs) = &mut args[0] {
-                let mut xs = std::mem::take(xs);
-                return match (op, xs.len()) {
-                    (OpName::Fst, n) if n >= 1 => Ok(xs.swap_remove(0)),
-                    (OpName::Snd, 2) => Ok(xs.swap_remove(1)),
-                    (OpName::Snd, n) if n > 2 => {
-                        xs.remove(0);
-                        Ok(MufValue::Tuple(xs))
-                    }
-                    _ => Err(LangError::new(Stage::Eval, "projection from empty tuple")),
-                };
-            }
-        }
-        // Core value operators.
-        let vals: Vec<Value> = args.iter().map(|a| a.as_core()).collect::<Result<_, _>>()?;
-        match core_op(op, &vals, self) {
-            Ok(v) => Ok(MufValue::V(v)),
-            Err(RuntimeError::NeedsValue(_)) => {
-                // Symbolic operand where a concrete one is needed: realize
-                // (this is the semantics of Fig. 14 for partially evaluated
-                // constructs like conditions) and retry once.
-                if let ProbSlot::Prob(ctx) = prob {
-                    let forced: Vec<Value> = vals
-                        .iter()
-                        .map(|v| ctx.force(v))
-                        .collect::<Result<_, _>>()
-                        .map_err(host)?;
-                    core_op(op, &forced, self).map(MufValue::V).map_err(host)
-                } else {
-                    Err(LangError::new(
-                        Stage::Eval,
-                        "symbolic value reached a deterministic operator",
-                    ))
-                }
-            }
-            Err(e) => Err(host(e)),
-        }
-    }
-
-    /// [`Interp::eval_op`] over borrowed arguments — the tape executor's
-    /// entry point (registers keep their values; results are computed
-    /// without consuming the operand slots). Semantics, including error
-    /// messages and RNG consumption, mirror `eval_op` exactly.
-    pub(crate) fn op_on_refs(
-        self: &Rc<Self>,
-        op: OpName,
-        args: &[&MufValue],
-        prob: &mut ProbSlot<'_>,
-    ) -> Result<MufValue, LangError> {
-        if args.iter().any(|a| a.is_nil()) {
-            return Ok(MufValue::Nil);
-        }
-        match (op, args.first()) {
-            (OpName::MeanFloat, Some(MufValue::Posterior(p))) => {
-                return Ok(MufValue::V(Value::Float(p.mean_float())));
-            }
-            (OpName::VarianceFloat, Some(MufValue::Posterior(p))) => {
-                return Ok(MufValue::V(Value::Float(p.variance_float())));
-            }
-            (OpName::Prob, Some(MufValue::Posterior(p))) => {
-                let lo = args[1].as_core()?.as_float().map_err(host)?;
-                let hi = args[2].as_core()?.as_float().map_err(host)?;
-                return Ok(MufValue::V(Value::Float(p.prob_interval(lo, hi))));
-            }
-            (OpName::DrawDist, Some(MufValue::Posterior(p))) => {
-                let v = p.sample(&mut *self.rng.borrow_mut());
-                return Ok(MufValue::V(v));
-            }
-            _ => {}
-        }
+        // Projections work on interpreter tuples directly.
         if matches!(op, OpName::Fst | OpName::Snd) {
             if let MufValue::Tuple(xs) = args[0] {
                 return match (op, xs.as_slice()) {
@@ -549,8 +512,36 @@ impl Interp {
                 };
             }
         }
-        let vals: Vec<Value> = args.iter().map(|a| a.as_core()).collect::<Result<_, _>>()?;
-        match core_op(op, &vals, self) {
+        // Core value operators: up to three data operands are borrowed in
+        // place; anything else (interpreter tuples folded to core pairs)
+        // takes the owned conversion, which also reports the errors.
+        let mut view: [&Value; 3] = [&Value::Unit; 3];
+        let direct = args.len() <= view.len()
+            && args.iter().zip(view.iter_mut()).all(|(a, slot)| match a {
+                MufValue::V(v) => {
+                    *slot = v;
+                    true
+                }
+                _ => false,
+            });
+        if direct {
+            return self.core_op_forcing(op, &view[..args.len()], prob);
+        }
+        let owned: Vec<Value> = args.iter().map(|a| a.as_core()).collect::<Result<_, _>>()?;
+        let refs: Vec<&Value> = owned.iter().collect();
+        self.core_op_forcing(op, &refs, prob)
+    }
+
+    /// [`core_op`], realizing symbolic operands and retrying once when a
+    /// concrete value is needed (the semantics of Fig. 14 for partially
+    /// evaluated constructs like conditions).
+    fn core_op_forcing(
+        self: &Rc<Self>,
+        op: OpName,
+        vals: &[&Value],
+        prob: &mut ProbSlot<'_>,
+    ) -> Result<MufValue, LangError> {
+        match core_op(op, vals, self) {
             Ok(v) => Ok(MufValue::V(v)),
             Err(RuntimeError::NeedsValue(_)) => {
                 if let ProbSlot::Prob(ctx) = prob {
@@ -559,7 +550,8 @@ impl Interp {
                         .map(|v| ctx.force(v))
                         .collect::<Result<_, _>>()
                         .map_err(host)?;
-                    core_op(op, &forced, self).map(MufValue::V).map_err(host)
+                    let refs: Vec<&Value> = forced.iter().collect();
+                    core_op(op, &refs, self).map(MufValue::V).map_err(host)
                 } else {
                     Err(LangError::new(
                         Stage::Eval,
@@ -644,31 +636,35 @@ fn bind_pattern_owned(pat: &MufPat, value: MufValue, env: Env) -> Result<Env, La
     }
 }
 
-pub(crate) fn core_op(op: OpName, v: &[Value], interp: &Rc<Interp>) -> Result<Value, RuntimeError> {
+pub(crate) fn core_op(
+    op: OpName,
+    v: &[&Value],
+    interp: &Rc<Interp>,
+) -> Result<Value, RuntimeError> {
     use OpName::*;
     match op {
-        Add => vops::add(&v[0], &v[1]),
-        Sub => vops::sub(&v[0], &v[1]),
-        Mul => vops::mul(&v[0], &v[1]),
-        Div => vops::div(&v[0], &v[1]),
-        Neg => vops::neg(&v[0]),
-        Lt => vops::lt(&v[0], &v[1]),
-        Le => vops::le(&v[0], &v[1]),
-        Gt => vops::gt(&v[0], &v[1]),
-        Ge => vops::ge(&v[0], &v[1]),
-        Eq => vops::eq(&v[0], &v[1]),
-        Ne => vops::not(&vops::eq(&v[0], &v[1])?),
-        And => vops::and(&v[0], &v[1]),
-        Or => vops::or(&v[0], &v[1]),
-        Not => vops::not(&v[0]),
-        Fst => vops::fst(&v[0]),
-        Snd => vops::snd(&v[0]),
-        Exp => vops::float_fn(&v[0], f64::exp),
-        Log => vops::float_fn(&v[0], f64::ln),
-        Sqrt => vops::float_fn(&v[0], f64::sqrt),
-        Abs => vops::float_fn(&v[0], f64::abs),
-        Min => vops::float_fn2(&v[0], &v[1], f64::min),
-        Max => vops::float_fn2(&v[0], &v[1], f64::max),
+        Add => vops::add(v[0], v[1]),
+        Sub => vops::sub(v[0], v[1]),
+        Mul => vops::mul(v[0], v[1]),
+        Div => vops::div(v[0], v[1]),
+        Neg => vops::neg(v[0]),
+        Lt => vops::lt(v[0], v[1]),
+        Le => vops::le(v[0], v[1]),
+        Gt => vops::gt(v[0], v[1]),
+        Ge => vops::ge(v[0], v[1]),
+        Eq => vops::eq(v[0], v[1]),
+        Ne => vops::not(&vops::eq(v[0], v[1])?),
+        And => vops::and(v[0], v[1]),
+        Or => vops::or(v[0], v[1]),
+        Not => vops::not(v[0]),
+        Fst => vops::fst(v[0]),
+        Snd => vops::snd(v[0]),
+        Exp => vops::float_fn(v[0], f64::exp),
+        Log => vops::float_fn(v[0], f64::ln),
+        Sqrt => vops::float_fn(v[0], f64::sqrt),
+        Abs => vops::float_fn(v[0], f64::abs),
+        Min => vops::float_fn2(v[0], v[1], f64::min),
+        Max => vops::float_fn2(v[0], v[1], f64::max),
         FloatOfInt => Ok(Value::Float(v[0].as_int()? as f64)),
         MeanFloat | VarianceFloat | Prob | DrawDist => {
             // Distribution-valued (not posterior-valued) arguments.
@@ -716,10 +712,10 @@ pub(crate) fn core_op(op: OpName, v: &[Value], interp: &Rc<Interp>) -> Result<Va
     }
 }
 
-/// The externalized particle state: held whole while the interpreter runs
-/// the transition, split into the tape's flat state slots (depth-first
-/// leaves of the state pattern) once an engine's tape is ready.
-#[derive(Debug)]
+/// The externalized state of a particle (or of a prelude): held whole
+/// while the interpreter runs the transition, split into the tape's live
+/// state slots once the tape is ready.
+#[derive(Debug, Clone)]
 pub(crate) enum ModelState {
     Whole(MufValue),
     Flat(Vec<MufValue>),
@@ -740,7 +736,8 @@ pub struct MufModel {
     interp: Rc<Interp>,
     closure: Rc<RefCell<MufValue>>,
     state: ModelState,
-    init_state: MufValue,
+    /// Shared by every particle (cloning a model must not copy it).
+    init_state: Rc<MufValue>,
     takes_input: bool,
     /// Lazily-lowered instruction tape shared by every particle of the
     /// engine (`None` under [`ExecBackend::Interp`]).
@@ -771,12 +768,10 @@ impl Model for MufModel {
 
     fn step(&mut self, ctx: &mut dyn ProbCtx, input: &Value) -> Result<Value, RuntimeError> {
         if let Some(cell) = &self.tape {
-            if let Some(shared) = cell.ensure(
-                &self.interp,
-                &self.closure,
-                &self.init_state,
-                self.takes_input,
-            ) {
+            let closure = self.closure.borrow().clone();
+            if let Some(shared) =
+                cell.ensure(&self.interp, &closure, &self.init_state, self.takes_input)
+            {
                 match crate::tape::step_model(
                     &self.interp,
                     cell,
@@ -789,19 +784,12 @@ impl Model for MufModel {
                 .map_err(|e| RuntimeError::Host(e.to_string()))?
                 {
                     crate::tape::TapeStep::Done(v) => return Ok(v),
-                    // The cell was poisoned mid-run; rejoin the flat state
-                    // and continue on the interpreter path below.
-                    crate::tape::TapeStep::FallBack => {
-                        if let ModelState::Flat(slots) = &mut self.state {
-                            let slots = std::mem::take(slots);
-                            self.state = ModelState::Whole(crate::tape::join_state(
-                                &mut slots.into_iter(),
-                                &shared.prog.shape,
-                            ));
-                        }
-                    }
+                    crate::tape::TapeStep::FallBack => {}
                 }
             }
+            // On the interpreter (the cell was poisoned mid-run, perhaps
+            // by another particle): a state the tape split rejoins first.
+            cell.rejoin(&mut self.state);
         }
         let closure = self.closure.borrow().clone();
         let ModelState::Whole(whole) = &mut self.state else {
@@ -835,17 +823,7 @@ impl Model for MufModel {
     }
 
     fn reset(&mut self) {
-        self.state = match self.tape.as_ref().and_then(|c| c.ready()) {
-            Some(shared) => ModelState::Flat(
-                shared
-                    .prog
-                    .init_slots
-                    .iter()
-                    .map(MufValue::deep_clone)
-                    .collect(),
-            ),
-            None => ModelState::Whole(self.init_state.deep_clone()),
-        };
+        self.state = crate::tape::TapeCell::initial_state(self.tape.as_deref(), &self.init_state);
     }
 
     fn for_each_state_value(&mut self, f: &mut dyn FnMut(&mut Value)) {
@@ -870,13 +848,17 @@ impl Model for MufModel {
 /// into the engine's shared closure slot. Particles then all read the
 /// same broadcast value instead of recomputing the invariant equations
 /// N times.
+///
+/// Under [`ExecBackend::Tape`] the prelude transition runs on a tape of
+/// its own (lowered at its first tick), outside any inference context.
 #[derive(Clone)]
 pub struct MufPrelude {
     transition: MufValue,
     wrap: MufValue,
-    state: MufValue,
+    state: ModelState,
     init_state: MufValue,
     takes_input: bool,
+    tape: Option<Rc<crate::tape::TapeCell>>,
 }
 
 impl MufPrelude {
@@ -892,9 +874,10 @@ impl MufPrelude {
         MufPrelude {
             transition,
             wrap,
-            state: init_state.deep_clone(),
+            state: ModelState::Whole(init_state.deep_clone()),
             init_state,
             takes_input,
+            tape: None,
         }
     }
 
@@ -907,7 +890,58 @@ impl MufPrelude {
         slot: &RefCell<MufValue>,
     ) -> Result<(), RuntimeError> {
         let host = |e: LangError| RuntimeError::Host(e.to_string());
-        let state = std::mem::replace(&mut self.state, MufValue::Nil);
+        let out = match self.advance_tape(interp, input).map_err(host)? {
+            Some(out) => out,
+            None => self.advance_interp(interp, input)?,
+        };
+        let closure = interp
+            .apply(&self.wrap, out, &mut ProbSlot::Det)
+            .map_err(host)?;
+        *slot.borrow_mut() = closure;
+        Ok(())
+    }
+
+    /// The tape path of [`MufPrelude::advance`]: `None` when the prelude
+    /// runs on the interpreter.
+    fn advance_tape(
+        &mut self,
+        interp: &Rc<Interp>,
+        input: &Value,
+    ) -> Result<Option<MufValue>, LangError> {
+        let Some(cell) = &self.tape else {
+            return Ok(None);
+        };
+        if let Some(shared) =
+            cell.ensure(interp, &self.transition, &self.init_state, self.takes_input)
+        {
+            let step = crate::tape::step_prelude(
+                interp,
+                cell,
+                &shared,
+                &self.transition,
+                &mut self.state,
+                input,
+            )?;
+            if let crate::tape::TapeStep::Done(out) = step {
+                return Ok(Some(out));
+            }
+        }
+        cell.rejoin(&mut self.state);
+        Ok(None)
+    }
+
+    fn advance_interp(
+        &mut self,
+        interp: &Rc<Interp>,
+        input: &Value,
+    ) -> Result<MufValue, RuntimeError> {
+        let host = |e: LangError| RuntimeError::Host(e.to_string());
+        let ModelState::Whole(whole) = &mut self.state else {
+            return Err(RuntimeError::Host(
+                "tape state observed on the interpreter path".into(),
+            ));
+        };
+        let state = std::mem::replace(whole, MufValue::Nil);
         let arg = if self.takes_input {
             MufValue::Tuple(vec![state, MufValue::V(input.clone())])
         } else {
@@ -920,12 +954,8 @@ impl MufPrelude {
             MufValue::Tuple(mut vs) if vs.len() == 2 => {
                 let next = vs.pop().expect("length checked");
                 let out = vs.pop().expect("length checked");
-                self.state = next;
-                let closure = interp
-                    .apply(&self.wrap, out, &mut ProbSlot::Det)
-                    .map_err(host)?;
-                *slot.borrow_mut() = closure;
-                Ok(())
+                self.state = ModelState::Whole(next);
+                Ok(out)
             }
             other => Err(RuntimeError::Host(format!(
                 "prelude transition must return (value, state), got {}",
@@ -935,7 +965,12 @@ impl MufPrelude {
     }
 
     fn reset(&mut self) {
-        self.state = self.init_state.deep_clone();
+        self.state = crate::tape::TapeCell::initial_state(self.tape.as_deref(), &self.init_state);
+    }
+
+    /// The prelude tape's status, when it runs under the tape backend.
+    fn tape_status(&self) -> Option<Result<(), String>> {
+        self.tape.as_ref().map(|c| c.status())
     }
 }
 
@@ -985,7 +1020,7 @@ impl MufEngine {
             interp: interp.clone(),
             closure: slot.clone(),
             state: ModelState::Whole(init_state.deep_clone()),
-            init_state,
+            init_state: Rc::new(init_state),
             takes_input,
             tape: tape.clone(),
         };
@@ -1005,7 +1040,10 @@ impl MufEngine {
     /// The engine's shared closure slot is then refreshed by the prelude
     /// at the start of every step rather than by [`MufEngine::set_closure`].
     #[must_use]
-    pub fn with_prelude(mut self, prelude: MufPrelude) -> Self {
+    pub fn with_prelude(mut self, mut prelude: MufPrelude) -> Self {
+        if self.tape.is_some() {
+            prelude.tape = Some(Rc::new(crate::tape::TapeCell::default()));
+        }
         self.prelude = Some(prelude);
         self
     }
@@ -1080,19 +1118,15 @@ impl MufEngine {
     /// Tape-backend status: `None` under [`ExecBackend::Interp`]; under
     /// [`ExecBackend::Tape`], `Ok(())` once the transition is lowered and
     /// running on the tape, `Err(reason)` while lowering is pending (no
-    /// step taken yet) or after it fell back to the interpreter.
+    /// step taken yet) or after it fell back to the interpreter. An engine
+    /// with a hoisted prelude is `Ok` only when the prelude runs on its
+    /// tape too.
     pub fn tape_status(&self) -> Option<Result<(), String>> {
-        self.tape.as_ref().map(|c| c.status())
-    }
-
-    /// Bytes of tape scratch (the register file) currently held, when the
-    /// tape is active — the allocation-plateau witness for Bounded(k)
-    /// programs.
-    pub fn tape_scratch_bytes(&self) -> Option<usize> {
-        self.tape
-            .as_ref()
-            .and_then(|c| c.ready())
-            .map(|s| s.scratch_bytes())
+        let model = self.tape.as_ref().map(|c| c.status())?;
+        match self.prelude.as_ref().and_then(MufPrelude::tape_status) {
+            Some(Err(e)) if model.is_ok() => Some(Err(format!("prelude: {e}"))),
+            _ => Some(model),
+        }
     }
 
     /// Aggregate graph memory statistics (Fig. 4 / Fig. 19).

@@ -408,7 +408,9 @@ impl Compiled {
     /// `pzc emit --tape`. For a hoist-planned node this is the residual
     /// `{node}#main` transition as the wrap function closes over it (the
     /// prelude broadcast slot shows up as an env slot, refreshed each
-    /// tick at runtime).
+    /// tick at runtime). The broadcast value stood in for is the output of
+    /// one prelude tick on a `nil` input, so a tuple broadcast splits into
+    /// leaf registers as it does at run time; `nil` when that tick fails.
     ///
     /// The inner `Err` is the lowering-refusal reason (the engine would
     /// keep interpreting); nodes whose step embeds `infer` — drivers —
@@ -439,8 +441,22 @@ impl Compiled {
             let wrap = global(&wrap_name(node))?;
             let init_state = interp.apply(&main_init, MufValue::unit(), &mut ProbSlot::Det)?;
             // The broadcast value is a runtime input (an env slot of the
-            // closed transition); `nil` stands in for it here.
-            let transition = interp.apply(&wrap, MufValue::Nil, &mut ProbSlot::Det)?;
+            // closed transition); a first prelude tick provides its shape.
+            let pre_step = global(&step_name(&plan.prelude_node))?;
+            let pre_init = global(&init_name(&plan.prelude_node))?;
+            let broadcast = interp
+                .apply(&pre_init, MufValue::unit(), &mut ProbSlot::Det)
+                .and_then(|s| {
+                    let arg = MufValue::Tuple(vec![s, MufValue::Nil]);
+                    interp.apply(&pre_step, arg, &mut ProbSlot::Det)
+                })
+                .ok()
+                .and_then(|r| match r {
+                    MufValue::Tuple(mut vs) if vs.len() == 2 => vs.drain(..1).next(),
+                    _ => None,
+                })
+                .unwrap_or(MufValue::Nil);
+            let transition = interp.apply(&wrap, broadcast, &mut ProbSlot::Det)?;
             (transition, init_state)
         } else {
             let init_thunk = global(&init_name(node))?;

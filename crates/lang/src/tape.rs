@@ -8,8 +8,15 @@
 //! preallocated `Vec<Op>` of register-indexed opcodes over a dense
 //! register file of [`MufValue`] slots. All names are interned to `u32`
 //! register indices during lowering, so the steady state performs zero
-//! `HashMap` lookups, zero `Env` clones, and no per-tick allocation
-//! beyond what the operators themselves produce.
+//! `HashMap` lookups and zero `Env` clones. The state, the captured
+//! environment and the tick input are split into leaf registers, so the
+//! tape does no tuple plumbing on them either.
+//!
+//! What the tape still allocates is measured, not assumed:
+//! `tests/tape_alloc.rs` counts every heap allocation of a steady-state
+//! `hmm` engine step with a counting global allocator — about 2.5 per
+//! particle-tick under PF and 2.2 under SDS, two of them the model's own
+//! distribution values (`Value::Dist` is boxed).
 //!
 //! The interpreter remains the semantic oracle: lowering is
 //! total-or-nothing per engine, every opcode mirrors the corresponding
@@ -19,7 +26,7 @@
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
-use crate::eval::{Interp, ModelState, ProbSlot};
+use crate::eval::{outside_infer, Interp, ModelState, ProbSlot};
 use crate::muf::{MufPat, MufValue};
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::Value;
@@ -195,13 +202,14 @@ pub enum OutSpec {
     Tuple(Vec<OutSpec>),
 }
 
-/// The tuple structure of the externalized state, derived from the
-/// transition's state pattern. State is stored as one flat slot per leaf.
+/// The tuple structure of a value the tape keeps unpacked across leaf
+/// registers (the externalized state, a captured environment value, the
+/// tick input).
 #[derive(Debug, Clone)]
 pub enum StateShape {
-    /// An opaque state slot.
+    /// An opaque leaf, held whole in one register.
     Leaf,
-    /// A state tuple.
+    /// A tuple, one sub-shape per element.
     Node(Vec<StateShape>),
 }
 
@@ -214,17 +222,34 @@ impl StateShape {
         }
     }
 
-    /// Number of leaf slots.
-    pub fn leaves(&self) -> usize {
-        match self {
-            StateShape::Leaf => 1,
-            StateShape::Node(xs) => xs.iter().map(StateShape::leaves).sum(),
+    /// The full tuple structure of a value (every interpreter tuple is a
+    /// node; core pairs, `nil` and everything else are leaves).
+    pub fn of_value(v: &MufValue) -> StateShape {
+        match v {
+            MufValue::Tuple(xs) => StateShape::Node(xs.iter().map(StateShape::of_value).collect()),
+            _ => StateShape::Leaf,
         }
     }
 }
 
+/// A value held unpacked in leaf registers: depth-first leaves of `shape`.
+#[derive(Debug, Clone)]
+pub struct Unpacked {
+    /// Tuple structure.
+    pub shape: StateShape,
+    /// One register per leaf.
+    pub regs: Vec<Reg>,
+}
+
 /// A lowered transition function: the instruction tape plus its register
 /// conventions.
+///
+/// The state is split down to the leaves of [`TapeProgram::shape`] (the
+/// state pattern refined by the tuple structure of the initial state).
+/// Leaves the tape writes back unchanged and that hold scalar data at
+/// init are *pinned*: loaded once into constant registers and never moved.
+/// The others are *live slots*, moved into `state_in` before each step and
+/// out of `state_out` after it.
 #[derive(Debug, Clone)]
 pub struct TapeProgram {
     /// Constant pool, run once into the register file when the tape is
@@ -235,23 +260,26 @@ pub struct TapeProgram {
     pub ops: Vec<Op>,
     /// Total number of registers.
     pub num_regs: u32,
-    /// Register receiving the tick input (driver-facing transitions).
-    pub input: Option<Reg>,
-    /// Registers the flat state slots are moved into before execution
-    /// (depth-first leaves of `shape`).
+    /// Leaf registers receiving the tick input (driver-facing
+    /// transitions), split along the input pattern.
+    pub input: Option<Unpacked>,
+    /// Registers the live state slots are moved into before execution.
     pub state_in: Vec<Reg>,
-    /// Registers holding the successor state after execution.
+    /// Registers the successor live slots are moved out of after
+    /// execution: pairwise distinct, and never a constant or environment
+    /// register (those are shared by every particle, so lowering copies
+    /// them into a fresh register first).
     pub state_out: Vec<Reg>,
-    /// Whether `state_out` registers are pairwise distinct (move out
-    /// instead of clone).
-    pub state_out_unique: bool,
     /// Where the output value lives.
     pub out: OutSpec,
-    /// Captured-environment registers, refreshed from the engine's
-    /// closure slot whenever it is rewritten: `(name, reg)`.
-    pub env_slots: Vec<(String, Reg)>,
-    /// The initial state, pre-split into flat slots.
+    /// Captured-environment values, split into leaf registers and
+    /// refreshed from the engine's closure slot whenever it is rewritten.
+    pub env_slots: Vec<(String, Unpacked)>,
+    /// The initial live slots.
     pub init_slots: Vec<MufValue>,
+    /// Per state leaf: `Some(v)` when the leaf is pinned to the constant
+    /// `v`, `None` when it is a live slot.
+    pub pinned: Vec<Option<MufValue>>,
     /// State tuple structure.
     pub shape: StateShape,
     /// `Rc::as_ptr` of the lowered closure body — per-tick re-closing
@@ -285,33 +313,19 @@ impl TapeShared {
             regs: RefCell::new(regs),
         }
     }
-
-    /// Bytes of scratch currently held by the register file (the vector
-    /// itself plus embedded tuple spines). Constant across steady-state
-    /// ticks for Bounded(k) programs — the scratch-plateau witness.
-    pub fn scratch_bytes(&self) -> usize {
-        fn held(v: &MufValue) -> usize {
-            match v {
-                MufValue::Tuple(xs) => {
-                    xs.capacity() * std::mem::size_of::<MufValue>()
-                        + xs.iter().map(held).sum::<usize>()
-                }
-                _ => 0,
-            }
-        }
-        let regs = self.regs.borrow();
-        regs.capacity() * std::mem::size_of::<MufValue>() + regs.iter().map(held).sum::<usize>()
-    }
 }
 
 /// Per-engine lowering cell, shared between a [`crate::eval::MufEngine`]
-/// and its particle models. Lowering happens lazily at the first particle
-/// step (after the prelude hook has installed the real per-particle
-/// closure) and is attempted exactly once; failure pins the engine to the
-/// interpreter.
+/// and its particle models (a hoisted prelude has a cell of its own).
+/// Lowering happens lazily at the first particle step (after the prelude
+/// hook has installed the real per-particle closure) and is attempted
+/// exactly once; failure pins the engine to the interpreter.
 #[derive(Debug, Default)]
 pub struct TapeCell {
     attempt: RefCell<Option<Result<Rc<TapeShared>, String>>>,
+    /// The lowered program, kept after a mid-run fallback: states it
+    /// split are rejoined along its shape.
+    lowered: RefCell<Option<Rc<TapeShared>>>,
     /// Bumped by the engine whenever the closure slot is rewritten.
     epoch: Cell<u64>,
     /// Last epoch whose environment was copied into the register file.
@@ -354,119 +368,299 @@ impl TapeCell {
     pub(crate) fn ensure(
         &self,
         interp: &Rc<Interp>,
-        closure_slot: &RefCell<MufValue>,
+        closure: &MufValue,
         init_state: &MufValue,
         takes_input: bool,
     ) -> Option<Rc<TapeShared>> {
         let mut attempt = self.attempt.borrow_mut();
         if attempt.is_none() {
-            let slot = closure_slot.borrow();
-            *attempt = Some(match &*slot {
+            let lowered = match closure {
                 MufValue::Closure(c) => {
                     crate::transform::lower::lower_closure(interp, c, init_state, takes_input)
                         .map(|prog| Rc::new(TapeShared::new(prog)))
                 }
                 other => Err(format!("transition is not a closure: {}", other.kind())),
-            });
+            };
+            if let Ok(shared) = &lowered {
+                *self.lowered.borrow_mut() = Some(shared.clone());
+                // A fresh register file has never read the environment.
+                self.bump();
+            }
+            *attempt = Some(lowered);
         }
         match attempt.as_ref() {
             Some(Ok(shared)) => Some(shared.clone()),
             _ => None,
         }
     }
-}
 
-/// Splits a whole state value into flat slots following `shape`. Only
-/// genuine `Tuple` nodes are accepted at interior positions so the flat
-/// form joins back to the identical value (bit-for-bit) if the engine
-/// ever has to fall back mid-run.
-pub(crate) fn split_state(v: &MufValue, shape: &StateShape) -> Result<Vec<MufValue>, String> {
-    fn go(v: &MufValue, shape: &StateShape, out: &mut Vec<MufValue>) -> Result<(), String> {
-        match shape {
-            StateShape::Leaf => {
-                out.push(v.clone());
-                Ok(())
-            }
-            StateShape::Node(children) => match v {
-                MufValue::Tuple(xs) if xs.len() == children.len() => {
-                    for (x, s) in xs.iter().zip(children) {
-                        go(x, s, out)?;
-                    }
-                    Ok(())
-                }
-                other => Err(format!(
-                    "state shape mismatch: expected a {}-tuple, found {}",
-                    children.len(),
-                    other.kind()
-                )),
-            },
+    /// Turns a state the tape split back into its whole form, once the
+    /// engine runs on the interpreter (after a mid-run fallback).
+    pub(crate) fn rejoin(&self, state: &mut ModelState) {
+        if let (ModelState::Flat(slots), Some(shared)) = (&mut *state, &*self.lowered.borrow()) {
+            let prog = &shared.prog;
+            let whole = join_state(std::mem::take(slots), &prog.shape, &prog.pinned);
+            *state = ModelState::Whole(whole);
         }
     }
-    let mut out = Vec::with_capacity(shape.leaves());
-    go(v, shape, &mut out)?;
+
+    /// The starting state of a model or prelude run by this cell: live
+    /// slots once the tape is installed, the whole value otherwise.
+    pub(crate) fn initial_state(cell: Option<&TapeCell>, init_state: &MufValue) -> ModelState {
+        match cell.and_then(TapeCell::ready) {
+            Some(shared) => ModelState::Flat(
+                shared
+                    .prog
+                    .init_slots
+                    .iter()
+                    .map(MufValue::deep_clone)
+                    .collect(),
+            ),
+            None => ModelState::Whole(init_state.deep_clone()),
+        }
+    }
+}
+
+/// Visits the leaves of `v` along `shape`, depth first. Only genuine
+/// `Tuple` nodes are accepted at interior positions, so the leaves join
+/// back to the identical value (bit-for-bit).
+fn for_each_leaf<'v>(
+    v: &'v MufValue,
+    shape: &StateShape,
+    f: &mut dyn FnMut(&'v MufValue) -> Result<(), String>,
+) -> Result<(), String> {
+    match shape {
+        StateShape::Leaf => f(v),
+        StateShape::Node(children) => match v {
+            MufValue::Tuple(xs) if xs.len() == children.len() => {
+                for (x, s) in xs.iter().zip(children) {
+                    for_each_leaf(x, s, f)?;
+                }
+                Ok(())
+            }
+            other => Err(format!(
+                "state shape mismatch: expected a {}-tuple, found {}",
+                children.len(),
+                other.kind()
+            )),
+        },
+    }
+}
+
+/// Whether `v` is scalar data (`nil`, unit, a boolean, an integer or a
+/// float) — the values a pinned state leaf may hold.
+pub(crate) fn is_scalar(v: &MufValue) -> bool {
+    matches!(
+        v,
+        MufValue::Nil | MufValue::V(Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Float(_))
+    )
+}
+
+/// Bitwise equality of scalar data; `false` for everything else.
+pub(crate) fn scalar_eq(a: &MufValue, b: &MufValue) -> bool {
+    match (a, b) {
+        (MufValue::Nil, MufValue::Nil) => true,
+        (MufValue::V(x), MufValue::V(y)) => match (x, y) {
+            (Value::Unit, Value::Unit) => true,
+            (Value::Bool(p), Value::Bool(q)) => p == q,
+            (Value::Int(p), Value::Int(q)) => p == q,
+            (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// Splits a whole state value into its live slots following `shape`.
+/// Pinned leaves are not slots: the value there must equal the pinned
+/// constant, or the state does not fit the tape.
+pub(crate) fn split_state(
+    v: &MufValue,
+    shape: &StateShape,
+    pinned: &[Option<MufValue>],
+) -> Result<Vec<MufValue>, String> {
+    let mut out = Vec::with_capacity(pinned.iter().filter(|p| p.is_none()).count());
+    let mut leaf = 0;
+    for_each_leaf(v, shape, &mut |x| {
+        match pinned.get(leaf) {
+            Some(Some(pin)) if !scalar_eq(pin, x) => {
+                return Err(format!("state leaf {leaf} left its pinned value"));
+            }
+            Some(Some(_)) => {}
+            _ => out.push(x.clone()),
+        }
+        leaf += 1;
+        Ok(())
+    })?;
     Ok(out)
 }
 
-/// Rebuilds the whole state value from flat slots (mid-run interpreter
-/// fallback). Inverse of [`split_state`] by construction.
-pub(crate) fn join_state(slots: &mut std::vec::IntoIter<MufValue>, shape: &StateShape) -> MufValue {
-    match shape {
-        StateShape::Leaf => slots.next().unwrap_or(MufValue::Nil),
-        StateShape::Node(children) => {
-            MufValue::Tuple(children.iter().map(|s| join_state(slots, s)).collect())
+/// Rebuilds the whole state value from live slots and pinned leaves
+/// (mid-run interpreter fallback). Inverse of [`split_state`].
+fn join_state(slots: Vec<MufValue>, shape: &StateShape, pinned: &[Option<MufValue>]) -> MufValue {
+    fn go(
+        slots: &mut std::vec::IntoIter<MufValue>,
+        pinned: &mut std::slice::Iter<'_, Option<MufValue>>,
+        shape: &StateShape,
+    ) -> MufValue {
+        match shape {
+            StateShape::Leaf => match pinned.next() {
+                Some(Some(pin)) => pin.clone(),
+                _ => slots.next().unwrap_or(MufValue::Nil),
+            },
+            StateShape::Node(children) => {
+                MufValue::Tuple(children.iter().map(|s| go(slots, pinned, s)).collect())
+            }
         }
+    }
+    go(&mut slots.into_iter(), &mut pinned.iter(), shape)
+}
+
+/// Writes the leaves of a captured value into their registers.
+fn load_unpacked(v: &MufValue, slot: &Unpacked, regs: &mut [MufValue]) -> Result<(), String> {
+    let mut dst = slot.regs.iter();
+    for_each_leaf(v, &slot.shape, &mut |x| {
+        if let Some(&r) = dst.next() {
+            regs[r as usize] = x.clone();
+        }
+        Ok(())
+    })
+}
+
+/// Writes the leaves of the tick input into their registers, destructuring
+/// exactly as the interpreter's pattern binding does on a core value (a
+/// pair for every two-element pattern, an error otherwise).
+fn load_input(
+    v: &Value,
+    shape: &StateShape,
+    regs: &mut [MufValue],
+    dst: &mut std::slice::Iter<'_, Reg>,
+) -> Result<(), LangError> {
+    match (shape, v) {
+        (StateShape::Leaf, _) => {
+            if let Some(&r) = dst.next() {
+                regs[r as usize] = MufValue::V(v.clone());
+            }
+            Ok(())
+        }
+        (StateShape::Node(children), Value::Pair(a, b)) if children.len() == 2 => {
+            load_input(a, &children[0], regs, dst)?;
+            load_input(b, &children[1], regs, dst)
+        }
+        (StateShape::Node(_), _) => Err(LangError::new(Stage::Eval, "cannot destructure a value")),
     }
 }
 
 /// Outcome of a tape step: either the tick output, or an instruction to
 /// fall back to the interpreter for this and all future ticks (the
 /// installed closure no longer matches the lowered body).
-pub(crate) enum TapeStep {
-    Done(Value),
+pub(crate) enum TapeStep<T> {
+    Done(T),
     FallBack,
 }
 
+/// Copies the captured environment of `closure` into the env-slot
+/// registers. `false` (and a poisoned cell) when the closure no longer
+/// matches the lowered body or a captured value changed shape.
+fn sync_env(cell: &TapeCell, shared: &TapeShared, closure: &MufValue) -> bool {
+    let prog = &shared.prog;
+    let MufValue::Closure(c) = closure else {
+        cell.poison(format!(
+            "transition became a non-closure: {}",
+            closure.kind()
+        ));
+        return false;
+    };
+    if Rc::as_ptr(&c.body) as usize != prog.body_ptr {
+        cell.poison("transition closure changed shape mid-run".into());
+        return false;
+    }
+    let mut regs = shared.regs.borrow_mut();
+    for (name, env) in &prog.env_slots {
+        let Some(v) = c.env.lookup(name) else {
+            cell.poison(format!("captured variable `{name}` disappeared"));
+            return false;
+        };
+        if let Err(e) = load_unpacked(v, env, &mut regs) {
+            cell.poison(format!("captured variable `{name}` changed shape: {e}"));
+            return false;
+        }
+    }
+    true
+}
+
 /// One particle step on the tape. Mirrors `MufModel::step`'s interpreter
-/// path: state slots move into their registers, the tape executes, the
-/// output is folded to a core value, and the successor state moves back
-/// out.
+/// path: live state slots move into their registers, the tape executes,
+/// the output is folded to a core value, and the successor slots move
+/// back out.
 pub(crate) fn step_model(
     interp: &Rc<Interp>,
     cell: &TapeCell,
-    shared: &Rc<TapeShared>,
+    shared: &TapeShared,
     closure_slot: &RefCell<MufValue>,
     state: &mut ModelState,
     ctx: &mut dyn ProbCtx,
     input: &Value,
-) -> Result<TapeStep, LangError> {
-    let prog = &shared.prog;
+) -> Result<TapeStep<Value>, LangError> {
     // Refresh captured-environment registers when the closure slot was
     // rewritten since the last sync (every tick for re-closing `infer`
     // sites; once for driver engines with a static closure).
     if cell.synced.get() != cell.epoch.get() {
-        let slot = closure_slot.borrow();
-        let MufValue::Closure(c) = &*slot else {
-            cell.poison(format!("transition became a non-closure: {}", slot.kind()));
-            return Ok(TapeStep::FallBack);
-        };
-        if Rc::as_ptr(&c.body) as usize != prog.body_ptr {
-            cell.poison("transition closure changed shape mid-run".into());
+        if !sync_env(cell, shared, &closure_slot.borrow()) {
             return Ok(TapeStep::FallBack);
         }
-        let mut regs = shared.regs.borrow_mut();
-        for (name, reg) in &prog.env_slots {
-            let Some(v) = c.env.lookup(name) else {
-                cell.poison(format!("captured variable `{name}` disappeared"));
-                return Ok(TapeStep::FallBack);
-            };
-            regs[*reg as usize] = v.clone();
-        }
-        drop(regs);
         cell.synced.set(cell.epoch.get());
     }
-    // First tape step: split the whole state into flat slots.
+    run(
+        interp,
+        cell,
+        shared,
+        state,
+        &mut ProbSlot::Prob(ctx),
+        input,
+        fold_out,
+    )
+}
+
+/// One deterministic prelude tick on the tape: like [`step_model`]
+/// outside any inference context, with the output kept a µF value (it
+/// is the argument of the wrap function). The environment is re-read on
+/// every tick, since engine clones share the cell but not the closure.
+pub(crate) fn step_prelude(
+    interp: &Rc<Interp>,
+    cell: &TapeCell,
+    shared: &TapeShared,
+    transition: &MufValue,
+    state: &mut ModelState,
+    input: &Value,
+) -> Result<TapeStep<MufValue>, LangError> {
+    if !sync_env(cell, shared, transition) {
+        return Ok(TapeStep::FallBack);
+    }
+    run(
+        interp,
+        cell,
+        shared,
+        state,
+        &mut ProbSlot::Det,
+        input,
+        fold_out_muf,
+    )
+}
+
+fn run<T>(
+    interp: &Rc<Interp>,
+    cell: &TapeCell,
+    shared: &TapeShared,
+    state: &mut ModelState,
+    prob: &mut ProbSlot<'_>,
+    input: &Value,
+    fold: fn(&OutSpec, &[MufValue]) -> Result<T, LangError>,
+) -> Result<TapeStep<T>, LangError> {
+    let prog = &shared.prog;
+    // First tape step: split the whole state into live slots.
     if let ModelState::Whole(whole) = &*state {
-        match split_state(whole, &prog.shape) {
+        match split_state(whole, &prog.shape, &prog.pinned) {
             Ok(slots) => *state = ModelState::Flat(slots),
             Err(e) => {
                 cell.poison(format!("state does not fit the tape shape: {e}"));
@@ -478,26 +672,33 @@ pub(crate) fn step_model(
         return Err(LangError::new(Stage::Eval, "tape state must be flat"));
     };
     let mut regs = shared.regs.borrow_mut();
-    if let Some(r) = prog.input {
-        regs[r as usize] = MufValue::V(input.clone());
+    if let Some(inp) = &prog.input {
+        load_input(input, &inp.shape, &mut regs, &mut inp.regs.iter())?;
     }
     for (slot, &r) in slots.iter_mut().zip(&prog.state_in) {
         regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
     }
-    exec(interp, prog, &mut regs, ctx)?;
+    exec(interp, prog, &mut regs, prob)?;
     // Fold the output before moving state out: an output register may
     // alias a state register.
-    let out = fold_out(&prog.out, &regs)?;
-    if prog.state_out_unique {
-        for (slot, &r) in slots.iter_mut().zip(&prog.state_out) {
-            *slot = std::mem::replace(&mut regs[r as usize], MufValue::Nil);
-        }
-    } else {
-        for (slot, &r) in slots.iter_mut().zip(&prog.state_out) {
-            *slot = regs[r as usize].clone();
-        }
+    let out = fold(&prog.out, &regs)?;
+    for (slot, &r) in slots.iter_mut().zip(&prog.state_out) {
+        *slot = std::mem::replace(&mut regs[r as usize], MufValue::Nil);
     }
     Ok(TapeStep::Done(out))
+}
+
+/// Folds an [`OutSpec`] to a µF value (tuples stay interpreter tuples).
+fn fold_out_muf(spec: &OutSpec, regs: &[MufValue]) -> Result<MufValue, LangError> {
+    Ok(match spec {
+        OutSpec::Reg(r) => regs[*r as usize].clone(),
+        OutSpec::Tuple(items) => MufValue::Tuple(
+            items
+                .iter()
+                .map(|s| fold_out_muf(s, regs))
+                .collect::<Result<_, _>>()?,
+        ),
+    })
 }
 
 /// Folds an [`OutSpec`] to a core value, mirroring [`MufValue::as_core`]
@@ -527,7 +728,7 @@ fn exec(
     interp: &Rc<Interp>,
     prog: &TapeProgram,
     regs: &mut [MufValue],
-    ctx: &mut dyn ProbCtx,
+    prob: &mut ProbSlot<'_>,
 ) -> Result<(), LangError> {
     let ops = &prog.ops;
     let mut pc = 0usize;
@@ -537,26 +738,18 @@ fn exec(
             Op::Const { dst, v } => regs[*dst as usize] = v.clone(),
             Op::Move { dst, src } => regs[*dst as usize] = regs[*src as usize].clone(),
             Op::UnOp { op, dst, a } => {
-                let v = interp.op_on_refs(
-                    *op,
-                    &[&regs[*a as usize]],
-                    &mut ProbSlot::Prob(&mut *ctx),
-                )?;
+                let v = interp.eval_op_ref(*op, &[&regs[*a as usize]], prob)?;
                 regs[*dst as usize] = v;
             }
             Op::BinOp { op, dst, a, b } => {
-                let v = interp.op_on_refs(
-                    *op,
-                    &[&regs[*a as usize], &regs[*b as usize]],
-                    &mut ProbSlot::Prob(&mut *ctx),
-                )?;
+                let v = interp.eval_op_ref(*op, &[&regs[*a as usize], &regs[*b as usize]], prob)?;
                 regs[*dst as usize] = v;
             }
             Op::TernOp { op, dst, a, b, c } => {
-                let v = interp.op_on_refs(
+                let v = interp.eval_op_ref(
                     *op,
                     &[&regs[*a as usize], &regs[*b as usize], &regs[*c as usize]],
-                    &mut ProbSlot::Prob(&mut *ctx),
+                    prob,
                 )?;
                 regs[*dst as usize] = v;
             }
@@ -575,7 +768,7 @@ fn exec(
             }
             Op::Select { dst, cond, t, f } => {
                 let c = regs[*cond as usize].clone();
-                let v = match interp.condition_value(c, &mut ProbSlot::Prob(&mut *ctx))? {
+                let v = match interp.condition_value(c, prob)? {
                     None => MufValue::Nil,
                     Some(true) => regs[*t as usize].clone(),
                     Some(false) => regs[*f as usize].clone(),
@@ -584,21 +777,33 @@ fn exec(
             }
             Op::Sample { dst, dist } => {
                 let d = dist_of(&regs[*dist as usize])?;
+                let ProbSlot::Prob(ctx) = prob else {
+                    return Err(outside_infer("sample"));
+                };
                 let v = ctx.sample(d)?;
                 regs[*dst as usize] = MufValue::V(v);
             }
             Op::Observe { dist, obs } => {
                 let d = dist_of(&regs[*dist as usize])?;
                 let o = regs[*obs as usize].as_core()?;
+                let ProbSlot::Prob(ctx) = prob else {
+                    return Err(outside_infer("observe"));
+                };
                 ctx.observe(d, &o)?;
             }
             Op::Factor { w } => {
                 let v = regs[*w as usize].as_core()?;
+                let ProbSlot::Prob(ctx) = prob else {
+                    return Err(outside_infer("factor"));
+                };
                 let v = ctx.force(&v)?;
                 ctx.factor(v.as_float()?);
             }
             Op::Value { dst, src } => {
                 let v = regs[*src as usize].as_core()?;
+                let ProbSlot::Prob(ctx) = prob else {
+                    return Err(outside_infer("value"));
+                };
                 let v = ctx.force(&v)?;
                 regs[*dst as usize] = MufValue::V(v);
             }
@@ -611,7 +816,7 @@ fn exec(
             }
             Op::JmpIfNot { cond, target } => {
                 let c = regs[*cond as usize].clone();
-                match interp.condition_value(c, &mut ProbSlot::Prob(&mut *ctx))? {
+                match interp.condition_value(c, prob)? {
                     None => {
                         return Err(LangError::new(
                             Stage::Eval,
@@ -627,13 +832,13 @@ fn exec(
             }
             Op::CallSummary { dst, f, arg } => {
                 let a = regs[*arg as usize].clone();
-                let v = interp.apply(f, a, &mut ProbSlot::Prob(&mut *ctx))?;
+                let v = interp.apply(f, a, prob)?;
                 regs[*dst as usize] = v;
             }
             Op::Eval { dst, f, arg } => {
                 let fv = regs[*f as usize].clone();
                 let a = regs[*arg as usize].clone();
-                let v = interp.apply(&fv, a, &mut ProbSlot::Prob(&mut *ctx))?;
+                let v = interp.apply(&fv, a, prob)?;
                 regs[*dst as usize] = v;
             }
         }
@@ -695,23 +900,28 @@ impl TapeProgram {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
+        let regs = |rs: &[Reg]| -> String {
+            rs.iter()
+                .map(|r| format!("r{r}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
         let _ = writeln!(
             s,
-            "regs: {}  ops: {}  state: {} slot(s)",
+            "regs: {}  ops: {}  state: {} slot(s), {} pinned",
             self.num_regs,
             self.ops.len(),
-            self.state_in.len()
+            self.state_in.len(),
+            self.pinned.iter().filter(|p| p.is_some()).count()
         );
-        if let Some(r) = self.input {
-            let _ = writeln!(s, "input: r{r}");
+        if let Some(inp) = &self.input {
+            let _ = writeln!(s, "input: {}", regs(&inp.regs));
         }
-        for (name, reg) in &self.env_slots {
-            let _ = writeln!(s, "env: {name} -> r{reg}");
+        for (name, env) in &self.env_slots {
+            let _ = writeln!(s, "env: {name} -> {}", regs(&env.regs));
         }
-        let ins: Vec<String> = self.state_in.iter().map(|r| format!("r{r}")).collect();
-        let outs: Vec<String> = self.state_out.iter().map(|r| format!("r{r}")).collect();
-        let _ = writeln!(s, "state_in: {}", ins.join(" "));
-        let _ = writeln!(s, "state_out: {}", outs.join(" "));
+        let _ = writeln!(s, "state_in: {}", regs(&self.state_in));
+        let _ = writeln!(s, "state_out: {}", regs(&self.state_out));
         let _ = writeln!(s, "out: {}", render_out(&self.out));
         for op in &self.consts {
             if let Op::Const { dst, v } = op {

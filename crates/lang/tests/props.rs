@@ -14,7 +14,10 @@ use proptest::prelude::*;
 /// constructs the lowering pass handles: arrow flags (`Select` ops after
 /// hoisting), `pre`-carried state (register-file state slots), nested
 /// tuples, arithmetic chains, a conditional observation mean, and a
-/// sampled/observed latent.
+/// sampled/observed latent. `lags` chains that many instances of a
+/// helper node, nesting their states (each with a `nil` leaf at init)
+/// inside the kernel's; `with_pair` adds a tuple-valued `pre`, a state
+/// leaf that is `nil` at init and a tuple afterwards.
 #[allow(clippy::too_many_arguments)]
 fn program(
     g: f64,
@@ -25,7 +28,23 @@ fn program(
     with_dead: bool,
     with_cse: bool,
     with_gain: bool,
+    lags: usize,
+    with_pair: bool,
 ) -> String {
+    let lag_node = "let node lag v = 0.0 -> pre v\n";
+    let lagged = (0..lags).fold("drift".to_string(), |acc, _| format!("lag ({acc})"));
+    let lag_eq = if lags > 0 {
+        format!("and lagged = {lagged}\n")
+    } else {
+        String::new()
+    };
+    let lag_use = if lags > 0 { "+ lagged * 0.01 " } else { "" };
+    let pair_eq = if with_pair {
+        "and (p1, p2) = (0.0, 0.0) -> pre (x, drift)\n"
+    } else {
+        ""
+    };
+    let pair_use = if with_pair { "+ p1 * 0.05 + p2 " } else { "" };
     let gain_eq = if with_gain {
         format!("and gain = 1.0 -> pre gain * {g:?}\n")
     } else {
@@ -43,10 +62,10 @@ fn program(
         "x * scale"
     };
     format!(
-        "let node m y = x where
+        "{lag_node}let node m y = x where
            rec scale = 1.0 + 2.0 * 0.5
            and drift = 0.0 -> pre drift + {d:?}
-           {gain_eq}{dead_eq}and x = sample (gaussian ((0.0 -> pre x) * {a:?} {gain_use}+ drift, {q:?}))
+           {gain_eq}{dead_eq}{lag_eq}{pair_eq}and x = sample (gaussian ((0.0 -> pre x) * {a:?} {gain_use}{lag_use}{pair_use}+ drift, {q:?}))
            and () = observe (gaussian ({mean}, {r:?}), y)"
     )
 }
@@ -69,9 +88,11 @@ proptest! {
         with_dead in any::<bool>(),
         with_cse in any::<bool>(),
         with_gain in any::<bool>(),
+        lags in 0usize..3,
+        with_pair in any::<bool>(),
         ys in proptest::collection::vec(-3.0f64..3.0, 1..6),
     ) {
-        let src = program(g, d, a, q, r, with_dead, with_cse, with_gain);
+        let src = program(g, d, a, q, r, with_dead, with_cse, with_gain, lags, with_pair);
         for compiled in [compile_source(&src).unwrap(), compile_source_opt(&src).unwrap()] {
             for method in [Method::ParticleFilter, Method::StreamingDs] {
                 let mk = |backend| {

@@ -240,47 +240,8 @@ fn robot_drivers_are_identical() {
     check_instance("robot.zl", "task_bot", &inputs);
 }
 
-/// The steady-state allocation claim, witnessed the same way the engine
-/// scratch is in `tests/memory_bounds.rs`: the tape's register file plus
-/// flattened state slots reach a fixed footprint by the first tick and
-/// never change again over 300 ticks — the per-particle hot loop neither
-/// grows a register nor reallocates one.
-#[test]
-fn tape_scratch_plateaus_after_warmup() {
-    let src = example("hmm.zl");
-    let compiled = compile_source_opt(&src).expect("hmm compiles");
-    for method in [Method::ParticleFilter, Method::StreamingDs] {
-        let mut engine = engine(
-            &compiled,
-            "hmm",
-            64,
-            method,
-            ParticleLayout::PerParticle,
-            ExecBackend::Tape,
-        );
-        let inputs = float_inputs(300);
-        for x in &inputs[..5] {
-            engine.step(&Value::Float(*x)).expect("warmup step");
-        }
-        assert_eq!(engine.tape_status(), Some(Ok(())), "{method:?}: no tape");
-        let warm = engine
-            .tape_scratch_bytes()
-            .expect("tape backend reports scratch");
-        assert!(warm > 0, "{method:?}: tape scratch never warmed up");
-        for (t, x) in inputs[5..].iter().enumerate() {
-            engine.step(&Value::Float(*x)).expect("steady-state step");
-            assert_eq!(
-                engine.tape_scratch_bytes(),
-                Some(warm),
-                "{method:?}: tape scratch changed at tick {}",
-                t + 5
-            );
-        }
-    }
-}
-
-/// An interpreter-backed engine reports no tape at all — the accessors
-/// are how drivers audit which backend actually ran.
+/// An interpreter-backed engine reports no tape at all — the accessor is
+/// how drivers audit which backend actually ran.
 #[test]
 fn interp_backend_reports_no_tape() {
     let src = example("hmm.zl");
@@ -295,5 +256,289 @@ fn interp_backend_reports_no_tape() {
     );
     eng.step(&Value::Float(0.5)).expect("step");
     assert_eq!(eng.tape_status(), None);
-    assert_eq!(eng.tape_scratch_bytes(), None);
+}
+
+// ---------------------------------------------------------------------
+// Flattening traps. The tape splits the state down to its leaves and
+// moves each live leaf out of the shared register file after a particle
+// steps. These hand-built µF kernels pin the cases where that could go
+// wrong, each tape-vs-interpreter bitwise under PF and SDS.
+// ---------------------------------------------------------------------
+
+mod traps {
+    use super::*;
+    use probzelus_lang::ast::Const;
+    use probzelus_lang::eval::Interp;
+    use probzelus_lang::muf::{Closure, Env, MufExpr, MufPat};
+    use probzelus_lang::{MufProgram, MufValue, OpName};
+    use std::rc::Rc;
+
+    fn var(x: &str) -> MufExpr {
+        MufExpr::Var(x.into())
+    }
+
+    fn float(x: f64) -> MufExpr {
+        MufExpr::Const(Const::Float(x))
+    }
+
+    fn op(o: OpName, args: Vec<MufExpr>) -> MufExpr {
+        MufExpr::Op(o, args)
+    }
+
+    fn tuple(xs: Vec<MufExpr>) -> MufExpr {
+        MufExpr::Tuple(xs)
+    }
+
+    fn let_(pat: MufPat, bound: MufExpr, body: MufExpr) -> MufExpr {
+        MufExpr::Let(pat, Box::new(bound), Box::new(body))
+    }
+
+    fn pvar(x: &str) -> MufPat {
+        MufPat::var(x)
+    }
+
+    fn ptuple(ps: Vec<MufPat>) -> MufPat {
+        MufPat::Tuple(ps)
+    }
+
+    fn fv(x: f64) -> MufValue {
+        MufValue::V(Value::Float(x))
+    }
+
+    fn bv(b: bool) -> MufValue {
+        MufValue::V(Value::Bool(b))
+    }
+
+    /// `let x = sample (gaussian (mean, 1)) in observe (gaussian (x, 1), y); rest`
+    fn sample_observe(mean: MufExpr, rest: MufExpr) -> MufExpr {
+        let_(
+            pvar("x"),
+            MufExpr::Sample(Box::new(op(OpName::Gaussian, vec![mean, float(1.0)]))),
+            let_(
+                MufPat::Wildcard,
+                MufExpr::Observe(
+                    Box::new(op(OpName::Gaussian, vec![var("x"), float(1.0)])),
+                    Box::new(var("y")),
+                ),
+                rest,
+            ),
+        )
+    }
+
+    fn closure(pat: MufPat, body: &Rc<MufExpr>, env: Env) -> MufValue {
+        MufValue::Closure(Rc::new(Closure {
+            pat,
+            body: Rc::clone(body),
+            env,
+        }))
+    }
+
+    fn engine(
+        method: Method,
+        backend: ExecBackend,
+        init: &MufValue,
+        transition: &MufValue,
+    ) -> MufEngine {
+        let options = Options {
+            method,
+            seed: 5,
+            backend,
+        };
+        let interp = Interp::new(&MufProgram::default(), options).expect("empty program loads");
+        MufEngine::new(
+            interp,
+            method,
+            8,
+            init.clone(),
+            transition.clone(),
+            true,
+            options.seed,
+        )
+    }
+
+    /// Steps both backends over `inputs` (re-closing the transition per
+    /// tick through `reclose`) and asserts identical posteriors; returns
+    /// the tape engine's final status.
+    fn run_both(
+        method: Method,
+        init: &MufValue,
+        transition: &MufValue,
+        reclose: &dyn Fn(usize) -> Option<MufValue>,
+        inputs: &[f64],
+    ) -> Result<(), String> {
+        let mut interp = engine(method, ExecBackend::Interp, init, transition);
+        let mut tape = engine(method, ExecBackend::Tape, init, transition);
+        for (t, y) in inputs.iter().enumerate() {
+            if let Some(c) = reclose(t) {
+                interp.set_closure(c.clone());
+                tape.set_closure(c);
+            }
+            let y = Value::Float(*y);
+            let p_interp = interp.step(&y).expect("interp step");
+            let p_tape = tape.step(&y).expect("tape step");
+            assert_eq!(
+                p_interp.mean_float().to_bits(),
+                p_tape.mean_float().to_bits(),
+                "{method:?} tick {t}: mean drifted"
+            );
+            assert_eq!(p_interp, p_tape, "{method:?} tick {t}: posterior drifted");
+        }
+        tape.tape_status().expect("tape backend reports a status")
+    }
+
+    const INPUTS: [f64; 8] = [0.4, -1.2, 0.9, 1.7, -0.3, -2.0, 0.8, 1.1];
+
+    /// The successor state holds a literal, a captured variable and the
+    /// tick input as leaves. The first two live in registers every
+    /// particle shares (the constant pool, the env slots): moving them
+    /// out would leave `nil` for the next particle, so lowering must copy.
+    #[test]
+    fn successor_state_of_literal_captured_and_input_leaves() {
+        // fun ((k, u, w, xp), y) ->
+        //   let x = sample (gaussian (k + u + w + xp * 0.5, 1)) in
+        //   observe (gaussian (x, 1), y); (x, (1.0, c, y, x))
+        let mean = op(
+            OpName::Add,
+            vec![
+                op(
+                    OpName::Add,
+                    vec![op(OpName::Add, vec![var("k"), var("u")]), var("w")],
+                ),
+                op(OpName::Mul, vec![var("xp"), float(0.5)]),
+            ],
+        );
+        let body = Rc::new(sample_observe(
+            mean,
+            tuple(vec![
+                var("x"),
+                tuple(vec![float(1.0), var("c"), var("y"), var("x")]),
+            ]),
+        ));
+        let pat = ptuple(vec![
+            ptuple(vec![pvar("k"), pvar("u"), pvar("w"), pvar("xp")]),
+            pvar("y"),
+        ]);
+        let env = Env::empty().bind("c", fv(0.25));
+        let transition = closure(pat, &body, env);
+        let init = MufValue::Tuple(vec![fv(0.0), fv(0.0), fv(0.0), fv(0.0)]);
+        for method in [Method::ParticleFilter, Method::StreamingDs] {
+            let status = run_both(method, &init, &transition, &|_| None, &INPUTS);
+            assert_eq!(
+                status,
+                Ok(()),
+                "{method:?}: the kernel must stay on the tape"
+            );
+        }
+    }
+
+    /// `fun ((has, prev), y) -> let (a, b) = prev in let _ = prev = prev in
+    ///    let x = sample (gaussian (select (has, a + b * 0.5, 0), 1)) in
+    ///    observe (gaussian (x, 1), y);
+    ///    let keep = y > 0 in (x, (keep, if keep then (x, y) else nil))`
+    fn nil_or_pair_kernel() -> MufValue {
+        let mean = MufExpr::Select(
+            Box::new(var("has")),
+            Box::new(op(
+                OpName::Add,
+                vec![var("a"), op(OpName::Mul, vec![var("b"), float(0.5)])],
+            )),
+            Box::new(float(0.0)),
+        );
+        let next = let_(
+            pvar("keep"),
+            op(OpName::Gt, vec![var("y"), float(0.0)]),
+            tuple(vec![
+                var("x"),
+                tuple(vec![
+                    var("keep"),
+                    MufExpr::If(
+                        Box::new(var("keep")),
+                        Box::new(tuple(vec![var("x"), var("y")])),
+                        Box::new(MufExpr::Const(Const::Nil)),
+                    ),
+                ]),
+            ]),
+        );
+        // `prev = prev` reads `prev` whole: `nil` there poisons to `nil`,
+        // while a tuple of `nil`s fails, so a `nil` successor wrongly
+        // split into leaves cannot go unnoticed.
+        let body = Rc::new(let_(
+            ptuple(vec![pvar("a"), pvar("b")]),
+            var("prev"),
+            let_(
+                MufPat::Wildcard,
+                op(OpName::Eq, vec![var("prev"), var("prev")]),
+                sample_observe(mean, next),
+            ),
+        ));
+        let pat = ptuple(vec![ptuple(vec![pvar("has"), pvar("prev")]), pvar("y")]);
+        closure(pat, &body, Env::empty())
+    }
+
+    /// A state position that is `nil` at init and a tuple later stays one
+    /// opaque leaf holding whatever value it has.
+    #[test]
+    fn state_leaf_nil_at_init_then_tuple() {
+        let init = MufValue::Tuple(vec![bv(false), MufValue::Nil]);
+        for method in [Method::ParticleFilter, Method::StreamingDs] {
+            let status = run_both(method, &init, &nil_or_pair_kernel(), &|_| None, &INPUTS);
+            assert_eq!(status, Ok(()), "{method:?}");
+        }
+    }
+
+    /// The reverse: a tuple at init whose successor may be `nil`. Split
+    /// into leaves it would come back as `(nil, nil)`, not `nil`, so the
+    /// lowering keeps the position opaque and the posterior bits hold.
+    #[test]
+    fn state_node_tuple_at_init_then_nil() {
+        let init = MufValue::Tuple(vec![bv(true), MufValue::Tuple(vec![fv(0.5), fv(-0.5)])]);
+        for method in [Method::ParticleFilter, Method::StreamingDs] {
+            let status = run_both(method, &init, &nil_or_pair_kernel(), &|_| None, &INPUTS);
+            assert_eq!(status, Ok(()), "{method:?}");
+        }
+    }
+
+    /// A captured tuple is split into env leaf registers when the tape is
+    /// lowered. When a later closure captures a value of another shape (a
+    /// core pair here, which the interpreter destructures the same way),
+    /// the engine must fall back, say why, and keep the bits.
+    #[test]
+    fn captured_tuple_changing_shape_falls_back() {
+        // fun (s, y) -> let (p, q) = c in
+        //   let x = sample (gaussian (s * 0.5 + p * q, 1)) in
+        //   observe (gaussian (x, 1), y); (x, x)
+        let mean = op(
+            OpName::Add,
+            vec![
+                op(OpName::Mul, vec![var("s"), float(0.5)]),
+                op(OpName::Mul, vec![var("p"), var("q")]),
+            ],
+        );
+        let body = Rc::new(let_(
+            ptuple(vec![pvar("p"), pvar("q")]),
+            var("c"),
+            sample_observe(mean, tuple(vec![var("x"), var("x")])),
+        ));
+        let pat = ptuple(vec![pvar("s"), pvar("y")]);
+        let with_c = |c: MufValue| closure(pat.clone(), &body, Env::empty().bind("c", c));
+        let transition = with_c(MufValue::Tuple(vec![fv(0.5), fv(0.25)]));
+        let reclose = |t: usize| {
+            Some(if t < 3 {
+                with_c(MufValue::Tuple(vec![fv(0.5), fv(t as f64)]))
+            } else {
+                with_c(MufValue::V(Value::pair(
+                    Value::Float(0.5),
+                    Value::Float(t as f64),
+                )))
+            })
+        };
+        for method in [Method::ParticleFilter, Method::StreamingDs] {
+            let status = run_both(method, &fv(0.0), &transition, &reclose, &INPUTS);
+            let reason = status.expect_err("the shape change must pin the interpreter");
+            assert!(
+                reason.contains("captured variable `c` changed shape"),
+                "{method:?}: unexpected reason: {reason}"
+            );
+        }
+    }
 }

@@ -70,8 +70,10 @@ fn robot_tape_matches_golden() {
 /// Structural invariants of the hmm tape that the golden file implies but
 /// a reviewer should not have to read opcodes to trust: the hot loop has
 /// exactly the model's one sample and one observe, and it is fully
-/// flattened — no residual closure application (`Eval`) and no
-/// interpreter re-entry (`CallSummary`) survives lowering.
+/// flattened — no residual closure application (`Eval`), no interpreter
+/// re-entry (`CallSummary`), and no tuple plumbing: the state and the
+/// prelude broadcast live in leaf registers, so nothing is projected out
+/// of a tuple or packed into one.
 #[test]
 fn hmm_tape_is_fully_flattened() {
     let compiled = compile_source_opt(&example("hmm.zl")).expect("hmm compiles");
@@ -87,9 +89,11 @@ fn hmm_tape_is_fully_flattened() {
             Op::Observe { .. } => observes += 1,
             Op::Eval { .. } => panic!("residual closure application in the hmm tape"),
             Op::CallSummary { .. } => panic!("interpreter re-entry in the hmm tape"),
+            Op::Proj { .. } | Op::MkTuple { .. } => panic!("tuple plumbing in the hmm tape"),
             _ => {}
         }
     }
+    assert!(prog.ops.len() <= 8, "hmm tape has {} ops", prog.ops.len());
     assert_eq!(samples, 1, "hmm samples once per tick");
     assert_eq!(observes, 1, "hmm observes once per tick");
     // The driver node embeds `infer` and must stay on the interpreter.
@@ -105,7 +109,9 @@ fn hmm_tape_is_fully_flattened() {
 
 /// The robot tracker — the largest committed probabilistic node — also
 /// flattens completely, with its conditional GPS observation lowered to
-/// branches rather than closure calls.
+/// branches rather than closure calls, and (with its state split into
+/// leaves) carries no tuple plumbing either; the ceiling leaves no room
+/// for the state to come back as one packed slot.
 #[test]
 fn robot_tracker_tape_is_fully_flattened() {
     let compiled = compile_source_opt(&example("robot.zl")).expect("robot compiles");
@@ -128,4 +134,10 @@ fn robot_tracker_tape_is_fully_flattened() {
             .any(|op| matches!(op, Op::Eval { .. } | Op::CallSummary { .. })),
         "tracker tape re-enters the interpreter"
     );
+    let plumbing = prog
+        .ops
+        .iter()
+        .filter(|op| matches!(op, Op::Proj { .. } | Op::MkTuple { .. }))
+        .count();
+    assert!(plumbing <= 2, "tracker tape has {plumbing} plumbing ops");
 }
