@@ -459,7 +459,10 @@ impl Graph {
         rng: &mut R,
     ) -> Result<f64, RuntimeError> {
         let mut e = e.clone();
-        while let Some(x) = e.vars().first().copied() {
+        loop {
+            let Some((x, _)) = e.terms().next() else {
+                break;
+            };
             let v = self.realize(x, rng)?;
             let xv = v.as_float()?;
             e = e.substitute(|y| (y == x).then_some(xv));

@@ -13,11 +13,14 @@
 use crate::error::RuntimeError;
 use crate::symbolic::AffExpr;
 use crate::value::Value;
+use std::borrow::Cow;
 
-fn as_aff(v: &Value) -> Option<AffExpr> {
+/// A float operand as an affine expression, borrowed when it already is
+/// one (no copy of its terms).
+fn as_aff(v: &Value) -> Option<Cow<'_, AffExpr>> {
     match v {
-        Value::Float(x) => Some(AffExpr::constant(*x)),
-        Value::Aff(e) => Some(e.clone()),
+        Value::Float(x) => Some(Cow::Owned(AffExpr::constant(*x))),
+        Value::Aff(e) => Some(Cow::Borrowed(e)),
         _ => None,
     }
 }

@@ -586,6 +586,18 @@ mod tests {
     use super::*;
     use crate::symbolic::AffExpr;
 
+    /// `Value` is copied and stored on every step of every particle. A
+    /// layout that inlined three full `(RvId, f64)` terms in `AffExpr` made
+    /// `Value` 64 bytes and `DistExpr` 136: the native engines lost 13% of
+    /// their ticks/s and the DSL twins' peak RSS rose by a third. Keep the
+    /// inline terms at `u16` ids so both stay at 40 bytes.
+    #[test]
+    fn value_and_affine_terms_stay_40_bytes() {
+        assert_eq!(std::mem::size_of::<AffExpr>(), 40);
+        assert_eq!(std::mem::size_of::<Value>(), 40);
+        assert_eq!(std::mem::size_of::<DistExpr>(), 88);
+    }
+
     #[test]
     fn accessors_check_types() {
         assert_eq!(Value::Float(1.5).as_float().unwrap(), 1.5);
