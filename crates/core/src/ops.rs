@@ -40,6 +40,7 @@ fn type_mismatch(expected: &'static str, v: &Value) -> RuntimeError {
 pub fn add(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x + y)),
+        (Value::Float(x), Value::Float(y)) => Ok(Value::Float(x + y)),
         _ => match (as_aff(a), as_aff(b)) {
             (Some(x), Some(y)) => Ok(Value::from(x.add(&y))),
             (None, _) => Err(type_mismatch("number", a)),
@@ -52,6 +53,9 @@ pub fn add(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
 pub fn sub(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x - y)),
+        // The float operations of the affine arm below: add the operand
+        // scaled by -1.
+        (Value::Float(x), Value::Float(y)) => Ok(Value::Float(x + y * -1.0)),
         _ => match (as_aff(a), as_aff(b)) {
             (Some(x), Some(y)) => Ok(Value::from(x.sub(&y))),
             (None, _) => Err(type_mismatch("number", a)),
@@ -65,6 +69,9 @@ pub fn sub(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
 pub fn mul(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x * y)),
+        // `AffExpr::scale` of `y` by the constant `x`: a zero scale gives
+        // `+0.0` whatever `y` is (`0 * inf` is 0, not NaN).
+        (Value::Float(x), Value::Float(y)) => Ok(Value::Float(if *x == 0.0 { 0.0 } else { y * x })),
         _ => match (as_aff(a), as_aff(b)) {
             (Some(x), Some(y)) => match (x.as_constant(), y.as_constant()) {
                 (Some(c), _) => Ok(Value::from(y.scale(c))),
@@ -90,6 +97,16 @@ pub fn div(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
                 Ok(Value::Int(x / y))
             }
         }
+        // `AffExpr::scale` of `x` by `1 / y`, as in the affine arm below
+        // (not the correctly rounded `x / y`).
+        (Value::Float(x), Value::Float(y)) => {
+            if *y == 0.0 {
+                Err(RuntimeError::DivisionByZero)
+            } else {
+                let k = 1.0 / y;
+                Ok(Value::Float(if k == 0.0 { 0.0 } else { x * k }))
+            }
+        }
         _ => match (as_aff(a), as_aff(b)) {
             (Some(x), Some(y)) => match y.as_constant() {
                 Some(c) => {
@@ -111,6 +128,8 @@ pub fn div(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
 pub fn neg(a: &Value) -> Result<Value, RuntimeError> {
     match a {
         Value::Int(x) => Ok(Value::Int(-x)),
+        // The affine arm's `scale(-1.0)`.
+        Value::Float(x) => Ok(Value::Float(x * -1.0)),
         _ => match as_aff(a) {
             Some(x) => Ok(Value::from(x.scale(-1.0))),
             None => Err(type_mismatch("number", a)),
@@ -245,6 +264,7 @@ impl std::ops::Neg for Value {
 mod tests {
     use super::*;
     use crate::symbolic::RvId;
+    use proptest::prelude::*;
 
     fn sym(i: usize) -> Value {
         Value::Aff(AffExpr::var(RvId(i)))
@@ -354,6 +374,96 @@ mod tests {
     #[should_panic(expected = "Value::mul")]
     fn std_ops_panic_on_nonaffine() {
         let _ = sym(0) * sym(1);
+    }
+
+    /// Floats of every class, as raw bit patterns: signed zeros and
+    /// infinities, quiet and signalling NaNs of both signs with payloads,
+    /// subnormals, the extremes of the normal range, and arbitrary bits.
+    fn raw_float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(f64::NAN),
+                Just(-f64::NAN),
+                Just(f64::MIN_POSITIVE),
+                Just(f64::MAX),
+                Just(f64::MIN),
+                Just(1.0),
+                Just(-1.0),
+            ],
+            // NaNs: all-ones exponent, any nonzero mantissa, either sign.
+            (any::<bool>(), 1u64..(1u64 << 52))
+                .prop_map(|(neg, m)| f64::from_bits(((neg as u64) << 63) | (0x7ffu64 << 52) | m)),
+            // Subnormals: zero exponent, nonzero mantissa, either sign.
+            (any::<bool>(), 1u64..(1u64 << 52))
+                .prop_map(|(neg, m)| f64::from_bits(((neg as u64) << 63) | m)),
+            any::<u64>().prop_map(f64::from_bits),
+            any::<f64>(),
+        ]
+    }
+
+    /// Bitwise view of an operator result (the zeros compare by sign).
+    /// NaNs compare as one class: Rust leaves the sign and payload of a
+    /// NaN result unspecified, and LLVM may commute the operands of `+`
+    /// and `*`, so two compilations of the same expression can differ there.
+    fn bits(r: Result<Value, RuntimeError>) -> Result<u64, RuntimeError> {
+        r.map(|v| match v {
+            Value::Float(x) if x.is_nan() => f64::NAN.to_bits(),
+            Value::Float(x) => x.to_bits(),
+            other => panic!("expected a float, got {other}"),
+        })
+    }
+
+    /// A float operand spelled as a constant affine expression: the
+    /// operators then take their affine arms, which are the oracle for the
+    /// Float x Float arms.
+    fn aff(x: f64) -> Value {
+        Value::Aff(AffExpr::constant(x))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn float_arms_match_the_affine_path_bitwise(x in raw_float(), y in raw_float()) {
+            let (fx, fy) = (Value::Float(x), Value::Float(y));
+            prop_assert_eq!(bits(add(&fx, &fy)), bits(add(&aff(x), &aff(y))), "add");
+            prop_assert_eq!(bits(sub(&fx, &fy)), bits(sub(&aff(x), &aff(y))), "sub");
+            prop_assert_eq!(bits(mul(&fx, &fy)), bits(mul(&aff(x), &aff(y))), "mul");
+            prop_assert_eq!(bits(div(&fx, &fy)), bits(div(&aff(x), &aff(y))), "div");
+            prop_assert_eq!(bits(neg(&fx)), bits(neg(&aff(x))), "neg");
+        }
+    }
+
+    #[test]
+    fn float_arms_keep_the_affine_rules() {
+        let f = |v: Result<Value, RuntimeError>| v.unwrap().as_float().unwrap();
+        // Zero scale: 0 * inf and 0 * NaN are +0, whatever the zero's sign.
+        assert_eq!(
+            f(mul(&Value::Float(-0.0), &Value::Float(f64::INFINITY))).to_bits(),
+            0
+        );
+        assert_eq!(
+            f(mul(&Value::Float(0.0), &Value::Float(f64::NAN))).to_bits(),
+            0
+        );
+        // Division by the reciprocal: a reciprocal that underflows to 0
+        // gives +0 even for an infinite dividend.
+        assert_eq!(
+            f(div(
+                &Value::Float(f64::INFINITY),
+                &Value::Float(f64::INFINITY)
+            ))
+            .to_bits(),
+            0
+        );
+        assert_eq!(
+            div(&Value::Float(1.0), &Value::Float(-0.0)),
+            Err(RuntimeError::DivisionByZero)
+        );
     }
 
     #[test]

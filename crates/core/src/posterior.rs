@@ -13,6 +13,7 @@ use crate::marginal::Marginal;
 use crate::value::Value;
 use probzelus_distributions::stats;
 use rand::Rng;
+use std::sync::Arc;
 
 /// The distribution of one particle's output value.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,9 +105,13 @@ impl ValueDist {
 
 /// A normalized weighted mixture of per-particle output distributions: the
 /// per-step result of `infer`.
+///
+/// Immutable once built, and cloned by reference count: the engine keeps
+/// the last usable posterior on every tick, and that copy must not cost a
+/// walk over the particles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Posterior {
-    components: Vec<(f64, ValueDist)>,
+    components: Arc<[(f64, ValueDist)]>,
 }
 
 impl Posterior {
@@ -140,7 +145,7 @@ impl Posterior {
     /// states and deterministic lifts).
     pub fn dirac(v: Value) -> Self {
         Posterior {
-            components: vec![(1.0, ValueDist::Dirac(v))],
+            components: Arc::new([(1.0, ValueDist::Dirac(v))]),
         }
     }
 
@@ -177,7 +182,7 @@ impl Posterior {
     pub fn mean_vector(&self) -> Option<probzelus_distributions::Vector> {
         let mut acc: Option<probzelus_distributions::Vector> = None;
         let mut total = 0.0;
-        for (w, d) in &self.components {
+        for (w, d) in self.components.iter() {
             if let Some(m) = d.mean_vector() {
                 let scaled = m.scale(*w);
                 acc = Some(match acc {
@@ -195,7 +200,7 @@ impl Posterior {
         let mean = self.mean_float();
         let mut total_w = 0.0;
         let mut acc = 0.0;
-        for (w, d) in &self.components {
+        for (w, d) in self.components.iter() {
             if let (Some(m), Some(v)) = (d.mean_float(), d.variance_float()) {
                 acc += w * (v + (m - mean) * (m - mean));
                 total_w += w;
@@ -231,7 +236,7 @@ impl Posterior {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Value {
         let u: f64 = rng.gen_range(0.0f64..1.0);
         let mut acc = 0.0;
-        for (w, d) in &self.components {
+        for (w, d) in self.components.iter() {
             acc += w;
             if u < acc {
                 return d.sample(rng);
@@ -253,7 +258,7 @@ impl Posterior {
     pub fn split_pair(&self) -> Result<(Posterior, Posterior), RuntimeError> {
         let mut left = Vec::with_capacity(self.components.len());
         let mut right = Vec::with_capacity(self.components.len());
-        for (w, d) in &self.components {
+        for (w, d) in self.components.iter() {
             let (a, b) = d.split_pair()?;
             left.push((*w, a));
             right.push((*w, b));

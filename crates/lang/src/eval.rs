@@ -424,10 +424,7 @@ impl Interp {
         let v = self.eval(env, e, prob)?;
         match v {
             MufValue::V(Value::Dist(d)) => Ok(*d),
-            MufValue::Nil => Err(LangError::new(
-                Stage::Eval,
-                "uninitialized distribution; guard delays with `->`",
-            )),
+            MufValue::Nil => Err(uninitialized_dist()),
             other => Err(LangError::new(
                 Stage::Eval,
                 format!("expected a distribution, found {}", other.kind()),
@@ -476,6 +473,15 @@ impl Interp {
         args: &[&MufValue],
         prob: &mut ProbSlot<'_>,
     ) -> Result<MufValue, LangError> {
+        // Float operands go straight to the operator: none of the checks
+        // below can fire on them.
+        match args {
+            [MufValue::V(a @ Value::Float(_))] => return self.core_op_forcing(op, &[a], prob),
+            [MufValue::V(a @ Value::Float(_)), MufValue::V(b @ Value::Float(_))] => {
+                return self.core_op_forcing(op, &[a, b], prob);
+            }
+            _ => {}
+        }
         // Nil poison propagates through strict operators.
         if args.iter().any(|a| a.is_nil()) {
             return Ok(MufValue::Nil);
@@ -568,6 +574,14 @@ pub(crate) fn outside_infer(what: &str) -> LangError {
     LangError::new(
         Stage::Eval,
         format!("`{what}` used outside of `infer` (probabilistic code needs an inference context)"),
+    )
+}
+
+/// The error of a `sample` or `observe` whose distribution is `nil`.
+pub(crate) fn uninitialized_dist() -> LangError {
+    LangError::new(
+        Stage::Eval,
+        "uninitialized distribution; guard delays with `->`",
     )
 }
 
@@ -700,16 +714,31 @@ pub(crate) fn core_op(
                 _ => unreachable!(),
             }
         }
-        Gaussian => Ok(Value::dist(DistExpr::gaussian(v[0].clone(), v[1].clone()))),
-        Beta => Ok(Value::dist(DistExpr::beta(v[0].clone(), v[1].clone()))),
-        Bernoulli => Ok(Value::dist(DistExpr::bernoulli(v[0].clone()))),
-        Uniform => Ok(Value::dist(DistExpr::uniform(v[0].clone(), v[1].clone()))),
-        Gamma => Ok(Value::dist(DistExpr::gamma(v[0].clone(), v[1].clone()))),
-        Poisson => Ok(Value::dist(DistExpr::poisson(v[0].clone()))),
-        Exponential => Ok(Value::dist(DistExpr::exponential(v[0].clone()))),
-        Binomial => Ok(Value::dist(DistExpr::binomial(v[0].clone(), v[1].clone()))),
-        Dirac => Ok(Value::dist(DistExpr::dirac(v[0].clone()))),
+        Gaussian | Beta | Bernoulli | Uniform | Gamma | Poisson | Exponential | Binomial
+        | Dirac => Ok(Value::dist(
+            dist_expr(op, v).expect("a distribution constructor"),
+        )),
     }
+}
+
+/// The distribution constructor table: the distribution `op` builds from
+/// its arguments, or `None` when `op` is not a distribution constructor.
+/// Shared by [`core_op`] (which boxes the result into a `Value::Dist`) and
+/// the tape's fused `sample`/`observe` ops (which keep it on the stack).
+pub(crate) fn dist_expr(op: OpName, v: &[&Value]) -> Option<DistExpr> {
+    use OpName::*;
+    Some(match op {
+        Gaussian => DistExpr::gaussian(v[0].clone(), v[1].clone()),
+        Beta => DistExpr::beta(v[0].clone(), v[1].clone()),
+        Bernoulli => DistExpr::bernoulli(v[0].clone()),
+        Uniform => DistExpr::uniform(v[0].clone(), v[1].clone()),
+        Gamma => DistExpr::gamma(v[0].clone(), v[1].clone()),
+        Poisson => DistExpr::poisson(v[0].clone()),
+        Exponential => DistExpr::exponential(v[0].clone()),
+        Binomial => DistExpr::binomial(v[0].clone(), v[1].clone()),
+        Dirac => DistExpr::dirac(v[0].clone()),
+        _ => return None,
+    })
 }
 
 /// The externalized state of a particle (or of a prelude): held whole
@@ -768,10 +797,15 @@ impl Model for MufModel {
 
     fn step(&mut self, ctx: &mut dyn ProbCtx, input: &Value) -> Result<Value, RuntimeError> {
         if let Some(cell) = &self.tape {
-            let closure = self.closure.borrow().clone();
-            if let Some(shared) =
-                cell.ensure(&self.interp, &closure, &self.init_state, self.takes_input)
-            {
+            let shared = cell.ready().or_else(|| {
+                cell.ensure(
+                    &self.interp,
+                    &self.closure.borrow(),
+                    &self.init_state,
+                    self.takes_input,
+                )
+            });
+            if let Some(shared) = shared {
                 match crate::tape::step_model(
                     &self.interp,
                     cell,

@@ -14,9 +14,12 @@
 //!
 //! What the tape still allocates is measured, not assumed:
 //! `tests/tape_alloc.rs` counts every heap allocation of a steady-state
-//! `hmm` engine step with a counting global allocator — about 2.5 per
-//! particle-tick under PF and 2.2 under SDS, two of them the model's own
-//! distribution values (`Value::Dist` is boxed).
+//! `hmm` and `gps_acc_tracker` engine step with a counting global
+//! allocator — about 0.5 per particle-tick under PF and 0.2 under SDS, all
+//! of them the engine's (posterior, broadcast closure, resampling
+//! clones). A distribution constructor consumed at once by `sample` or
+//! `observe` is fused into it ([`Op::SampleDist`], [`Op::ObserveDist`]),
+//! so the model's own distribution values are never boxed.
 //!
 //! The interpreter remains the semantic oracle: lowering is
 //! total-or-nothing per engine, every opcode mirrors the corresponding
@@ -26,10 +29,10 @@
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
-use crate::eval::{outside_infer, Interp, ModelState, ProbSlot};
+use crate::eval::{dist_expr, outside_infer, uninitialized_dist, Interp, ModelState, ProbSlot};
 use crate::muf::{MufPat, MufValue};
 use probzelus_core::prob::ProbCtx;
-use probzelus_core::value::Value;
+use probzelus_core::value::{DistExpr, Value};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -131,6 +134,28 @@ pub enum Op {
     Observe {
         /// Distribution register.
         dist: Reg,
+        /// Observation register.
+        obs: Reg,
+    },
+    /// `dst <- sample(family(args))`: a distribution constructor fused
+    /// into the `sample` that consumes it. The distribution is built on
+    /// the stack (no `Value::Dist` box, no register write), with the
+    /// unfused pair's errors.
+    SampleDist {
+        /// Destination register.
+        dst: Reg,
+        /// The constructor (`gaussian`, `beta`, `bernoulli`, ...).
+        family: OpName,
+        /// Constructor argument registers.
+        args: Vec<Reg>,
+    },
+    /// `observe(family(args), obs)`: a distribution constructor fused into
+    /// the `observe` that consumes it (see [`Op::SampleDist`]).
+    ObserveDist {
+        /// The constructor.
+        family: OpName,
+        /// Constructor argument registers.
+        args: Vec<Reg>,
         /// Observation register.
         obs: Reg,
     },
@@ -767,8 +792,11 @@ fn exec(
                 regs[*dst as usize] = v;
             }
             Op::Select { dst, cond, t, f } => {
-                let c = regs[*cond as usize].clone();
-                let v = match interp.condition_value(c, prob)? {
+                let c = match &regs[*cond as usize] {
+                    MufValue::V(Value::Bool(b)) => Some(*b),
+                    other => interp.condition_value(other.clone(), prob)?,
+                };
+                let v = match c {
                     None => MufValue::Nil,
                     Some(true) => regs[*t as usize].clone(),
                     Some(false) => regs[*f as usize].clone(),
@@ -790,6 +818,22 @@ fn exec(
                     return Err(outside_infer("observe"));
                 };
                 ctx.observe(d, &o)?;
+            }
+            Op::SampleDist { dst, family, args } => {
+                let d = fused_dist(*family, args, regs)?;
+                let ProbSlot::Prob(ctx) = prob else {
+                    return Err(outside_infer("sample"));
+                };
+                let v = ctx.sample(&d)?;
+                regs[*dst as usize] = MufValue::V(v);
+            }
+            Op::ObserveDist { family, args, obs } => {
+                let d = fused_dist(*family, args, regs)?;
+                let o = regs[*obs as usize].as_core()?;
+                let ProbSlot::Prob(ctx) = prob else {
+                    return Err(outside_infer("observe"));
+                };
+                ctx.observe(&d, &o)?;
             }
             Op::Factor { w } => {
                 let v = regs[*w as usize].as_core()?;
@@ -815,8 +859,11 @@ fn exec(
                 continue;
             }
             Op::JmpIfNot { cond, target } => {
-                let c = regs[*cond as usize].clone();
-                match interp.condition_value(c, prob)? {
+                let c = match &regs[*cond as usize] {
+                    MufValue::V(Value::Bool(b)) => Some(*b),
+                    other => interp.condition_value(other.clone(), prob)?,
+                };
+                match c {
                     None => {
                         return Err(LangError::new(
                             Stage::Eval,
@@ -878,18 +925,48 @@ fn project(v: &MufValue, idx: u32, arity: u32) -> Result<MufValue, LangError> {
 }
 
 /// Resolves a register to a distribution, mirroring `Interp::eval_dist`.
-fn dist_of(v: &MufValue) -> Result<&probzelus_core::value::DistExpr, LangError> {
+fn dist_of(v: &MufValue) -> Result<&DistExpr, LangError> {
     match v {
         MufValue::V(Value::Dist(d)) => Ok(d),
-        MufValue::Nil => Err(LangError::new(
-            Stage::Eval,
-            "uninitialized distribution; guard delays with `->`",
-        )),
+        MufValue::Nil => Err(uninitialized_dist()),
         other => Err(LangError::new(
             Stage::Eval,
             format!("expected a distribution, found {}", other.kind()),
         )),
     }
+}
+
+/// The distribution of a fused constructor, built on the stack with the
+/// errors of the unfused constructor op followed by [`dist_of`]: a `nil`
+/// argument makes the constructor yield `nil`, so the distribution is
+/// uninitialized; other non-core arguments take the owned `as_core` path
+/// of [`Interp::eval_op_ref`].
+fn fused_dist(family: OpName, args: &[Reg], regs: &[MufValue]) -> Result<DistExpr, LangError> {
+    if args.iter().any(|&r| regs[r as usize].is_nil()) {
+        return Err(uninitialized_dist());
+    }
+    let mut view: [&Value; 2] = [&Value::Unit; 2];
+    let direct = args.len() <= view.len()
+        && args
+            .iter()
+            .zip(view.iter_mut())
+            .all(|(&r, slot)| match &regs[r as usize] {
+                MufValue::V(v) => {
+                    *slot = v;
+                    true
+                }
+                _ => false,
+            });
+    let d = if direct {
+        dist_expr(family, &view[..args.len()])
+    } else {
+        let owned: Vec<Value> = args
+            .iter()
+            .map(|&r| regs[r as usize].as_core())
+            .collect::<Result<_, _>>()?;
+        dist_expr(family, &owned.iter().collect::<Vec<_>>())
+    };
+    Ok(d.expect("lowering fuses distribution constructors only"))
 }
 
 impl TapeProgram {
@@ -963,6 +1040,7 @@ fn render_op(op: &Op, names: &[String]) -> String {
             _ => format!("r{r}"),
         }
     };
+    let list = |rs: &[Reg]| rs.iter().map(|&r| named(r)).collect::<Vec<_>>().join(", ");
     match op {
         Op::Const { dst, v } => format!("const       {} <- {}", named(*dst), render_value(v)),
         Op::Move { dst, src } => format!("move        {} <- {}", named(*dst), named(*src)),
@@ -985,8 +1063,7 @@ fn render_op(op: &Op, names: &[String]) -> String {
             named(*c)
         ),
         Op::MkTuple { dst, items } => {
-            let parts: Vec<String> = items.iter().map(|&r| named(r)).collect();
-            format!("mk_tuple    {} <- ({})", named(*dst), parts.join(", "))
+            format!("mk_tuple    {} <- ({})", named(*dst), list(items))
         }
         Op::Proj {
             dst,
@@ -1007,6 +1084,18 @@ fn render_op(op: &Op, names: &[String]) -> String {
         ),
         Op::Sample { dst, dist } => format!("sample      {} <- {}", named(*dst), named(*dist)),
         Op::Observe { dist, obs } => format!("observe     {}, {}", named(*dist), named(*obs)),
+        Op::SampleDist { dst, family, args } => format!(
+            "sample.{:<5} {} <- {}",
+            mnemonic(*family),
+            named(*dst),
+            list(args)
+        ),
+        Op::ObserveDist { family, args, obs } => format!(
+            "observe.{:<4} ({}), {}",
+            mnemonic(*family),
+            list(args),
+            named(*obs)
+        ),
         Op::Factor { w } => format!("factor      {}", named(*w)),
         Op::Value { dst, src } => format!("value       {} <- {}", named(*dst), named(*src)),
         Op::Freshen { dst, src } => format!("freshen     {} <- {}", named(*dst), named(*src)),

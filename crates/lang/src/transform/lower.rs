@@ -749,6 +749,7 @@ pub fn lower_closure(
         propagate_copies(&mut prog);
         pin_unchanged_leaves(&mut prog);
         copy_shared_outputs(&mut prog);
+        fuse_dists(&mut prog);
         eliminate_dead(&mut prog);
         compact_registers(&mut prog);
         return Ok(prog);
@@ -799,6 +800,18 @@ fn for_each_reg(op: &mut Op, f: &mut dyn FnMut(&mut Reg, bool)) {
         }
         Op::Observe { dist, obs } => {
             f(dist, false);
+            f(obs, false);
+        }
+        Op::SampleDist { dst, args, .. } => {
+            for r in args {
+                f(r, false);
+            }
+            f(dst, true);
+        }
+        Op::ObserveDist { args, obs, .. } => {
+            for r in args {
+                f(r, false);
+            }
             f(obs, false);
         }
         Op::Factor { w } => f(w, false),
@@ -929,11 +942,134 @@ fn copy_shared_outputs(prog: &mut TapeProgram) {
     prog.ops.splice(halt..halt, copies);
 }
 
+/// Fuses each distribution constructor into the `sample` or `observe`
+/// that consumes it ([`Op::SampleDist`], [`Op::ObserveDist`]), so the
+/// distribution is built on the stack instead of boxed into a register.
+///
+/// A constructor is fused when its register is defined once, read exactly
+/// once — by a `sample` or `observe` in the same basic block — and is not
+/// an output, successor-state or environment register. The fused op
+/// builds the distribution where the consumer stands, so every op in
+/// between must be unable to fail (`Move`, `MkTuple`, `Freshen`) and must
+/// not redefine a constructor argument: errors then come in the same
+/// order, and the arguments hold the same values.
+fn fuse_dists(prog: &mut TapeProgram) {
+    let n = prog.num_regs as usize;
+    let defs = def_counts(prog);
+    let mut reads = vec![0u32; n];
+    for op in &mut prog.ops {
+        for_each_reg(op, &mut |r, def| {
+            if !def {
+                reads[*r as usize] += 1;
+            }
+        });
+    }
+    let mut escapes = vec![false; n];
+    for_each_out_reg(&mut prog.out, &mut |r| escapes[*r as usize] = true);
+    for r in prog
+        .state_out
+        .iter()
+        .chain(prog.env_slots.iter().flat_map(|(_, u)| &u.regs))
+    {
+        escapes[*r as usize] = true;
+    }
+    let mut block_start = vec![false; prog.ops.len()];
+    for op in &prog.ops {
+        if let Op::Jmp { target } | Op::JmpIfNot { target, .. } = op {
+            if let Some(b) = block_start.get_mut(*target as usize) {
+                *b = true;
+            }
+        }
+    }
+    let mut fusions = Vec::new();
+    for (i, op) in prog.ops.iter().enumerate() {
+        let (family, ctor, args) = match op {
+            Op::UnOp { op, dst, a } if dist_arity(*op) == Some(1) => (*op, *dst, vec![*a]),
+            Op::BinOp { op, dst, a, b } if dist_arity(*op) == Some(2) => (*op, *dst, vec![*a, *b]),
+            _ => continue,
+        };
+        let d = ctor as usize;
+        if defs[d] != 1 || reads[d] != 1 || escapes[d] {
+            continue;
+        }
+        for (j, next) in prog.ops.iter().enumerate().skip(i + 1) {
+            if block_start[j] {
+                break;
+            }
+            let fused = match next {
+                Op::Sample { dst, dist } if *dist == ctor => Op::SampleDist {
+                    dst: *dst,
+                    family,
+                    args,
+                },
+                Op::Observe { dist, obs } if *dist == ctor => Op::ObserveDist {
+                    family,
+                    args,
+                    obs: *obs,
+                },
+                Op::Move { dst, .. } | Op::MkTuple { dst, .. } | Op::Freshen { dst, .. }
+                    if !args.contains(dst) =>
+                {
+                    continue;
+                }
+                _ => break,
+            };
+            fusions.push((i, j, fused));
+            break;
+        }
+    }
+    let mut keep = vec![true; prog.ops.len()];
+    for (i, j, fused) in fusions {
+        prog.ops[j] = fused;
+        keep[i] = false;
+    }
+    retain_ops(prog, &keep);
+}
+
+/// The number of arguments of a distribution constructor; `None` for
+/// every other operator.
+fn dist_arity(op: OpName) -> Option<usize> {
+    use OpName::*;
+    match op {
+        Gaussian | Beta | Bernoulli | Uniform | Gamma | Poisson | Exponential | Binomial
+        | Dirac => Some(op.arity()),
+        _ => None,
+    }
+}
+
+/// Drops the ops whose `keep` flag is false and retargets the jumps: a
+/// jump to a dropped op lands on the first kept op after it.
+fn retain_ops(prog: &mut TapeProgram, keep: &[bool]) {
+    if keep.iter().all(|k| *k) {
+        return;
+    }
+    // New index of each old op index: the first kept op at or after it.
+    let mut remap = vec![0u32; keep.len() + 1];
+    let mut next = keep.iter().filter(|k| **k).count() as u32;
+    remap[keep.len()] = next;
+    for i in (0..keep.len()).rev() {
+        if keep[i] {
+            next -= 1;
+        }
+        remap[i] = next;
+    }
+    let mut i = 0;
+    prog.ops.retain(|_| {
+        i += 1;
+        keep[i - 1]
+    });
+    for op in &mut prog.ops {
+        if let Op::Jmp { target } | Op::JmpIfNot { target, .. } = op {
+            *target = remap[*target as usize];
+        }
+    }
+}
+
 /// Dead-register elimination: drops side-effect-free ops (`Move`,
 /// `MkTuple`, `Freshen`) whose result nothing reads, jumps to the next
 /// op, and constants nothing reads. Ops that can fail, force a value or
-/// touch the engine stay even when their result is unused, so errors and
-/// RNG consumption are unchanged.
+/// touch the engine stay even when their result is unused (a fused
+/// `sample` included), so errors and RNG consumption are unchanged.
 fn eliminate_dead(prog: &mut TapeProgram) {
     loop {
         let mut read = vec![false; prog.num_regs as usize];
@@ -967,26 +1103,7 @@ fn eliminate_dead(prog: &mut TapeProgram) {
         if keep.iter().all(|k| *k) {
             return;
         }
-        // New index of each old op index: the first kept op at or after it.
-        let mut remap = vec![0u32; keep.len() + 1];
-        let mut next = keep.iter().filter(|k| **k).count() as u32;
-        remap[keep.len()] = next;
-        for i in (0..keep.len()).rev() {
-            if keep[i] {
-                next -= 1;
-            }
-            remap[i] = next;
-        }
-        let mut i = 0;
-        prog.ops.retain(|_| {
-            i += 1;
-            keep[i - 1]
-        });
-        for op in &mut prog.ops {
-            if let Op::Jmp { target } | Op::JmpIfNot { target, .. } = op {
-                *target = remap[*target as usize];
-            }
-        }
+        retain_ops(prog, &keep);
     }
 }
 

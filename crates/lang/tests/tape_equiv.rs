@@ -259,10 +259,12 @@ fn interp_backend_reports_no_tape() {
 }
 
 // ---------------------------------------------------------------------
-// Flattening traps. The tape splits the state down to its leaves and
-// moves each live leaf out of the shared register file after a particle
-// steps. These hand-built µF kernels pin the cases where that could go
-// wrong, each tape-vs-interpreter bitwise under PF and SDS.
+// Flattening and fusion traps. The tape splits the state down to its
+// leaves and moves each live leaf out of the shared register file after a
+// particle steps, and it fuses each distribution constructor into the
+// `sample` or `observe` that consumes it. These hand-built µF kernels pin
+// the cases where that could go wrong, each tape-vs-interpreter bitwise
+// under PF and SDS.
 // ---------------------------------------------------------------------
 
 mod traps {
@@ -270,6 +272,8 @@ mod traps {
     use probzelus_lang::ast::Const;
     use probzelus_lang::eval::Interp;
     use probzelus_lang::muf::{Closure, Env, MufExpr, MufPat};
+    use probzelus_lang::tape::{Op, TapeProgram};
+    use probzelus_lang::transform::lower::lower_closure;
     use probzelus_lang::{MufProgram, MufValue, OpName};
     use std::rc::Rc;
 
@@ -540,5 +544,176 @@ mod traps {
                 "{method:?}: unexpected reason: {reason}"
             );
         }
+    }
+
+    /// The tape a driver-facing transition lowers to.
+    fn lowered(init: &MufValue, transition: &MufValue) -> TapeProgram {
+        let MufValue::Closure(c) = transition else {
+            panic!("not a closure");
+        };
+        let options = Options {
+            method: Method::ParticleFilter,
+            seed: 5,
+            backend: ExecBackend::Tape,
+        };
+        let interp = Interp::new(&MufProgram::default(), options).expect("empty program loads");
+        lower_closure(&interp, c, init, true).expect("the kernel lowers")
+    }
+
+    /// How many ops of the tape match `f`.
+    fn count(prog: &TapeProgram, f: fn(&Op) -> bool) -> usize {
+        prog.ops.iter().filter(|op| f(op)).count()
+    }
+
+    /// A `nil` constructor argument makes the fused op fail exactly like
+    /// the unfused constructor-then-consumer pair: the constructor yields
+    /// `nil`, which `sample` and `observe` reject as an uninitialized
+    /// distribution.
+    #[test]
+    fn nil_distribution_argument_fails_alike() {
+        // fun (m, y) -> let x = sample (gaussian (m, 1)) in
+        //   observe (gaussian (x, 1), y); (x, x)
+        let in_sample = sample_observe(var("m"), tuple(vec![var("x"), var("x")]));
+        // fun (m, y) -> let x = sample (gaussian (0, 1)) in
+        //   observe (gaussian (m, 1), y); (x, x)
+        let in_observe = let_(
+            pvar("x"),
+            MufExpr::Sample(Box::new(op(OpName::Gaussian, vec![float(0.0), float(1.0)]))),
+            let_(
+                MufPat::Wildcard,
+                MufExpr::Observe(
+                    Box::new(op(OpName::Gaussian, vec![var("m"), float(1.0)])),
+                    Box::new(var("y")),
+                ),
+                tuple(vec![var("x"), var("x")]),
+            ),
+        );
+        for body in [in_sample, in_observe] {
+            let pat = ptuple(vec![pvar("m"), pvar("y")]);
+            let transition = closure(pat, &Rc::new(body), Env::empty());
+            let prog = lowered(&MufValue::Nil, &transition);
+            assert_eq!(
+                count(&prog, |op| matches!(
+                    op,
+                    Op::SampleDist { .. } | Op::ObserveDist { .. }
+                )),
+                2,
+                "both distributions must be fused"
+            );
+            for method in [Method::ParticleFilter, Method::StreamingDs] {
+                let step = |backend| {
+                    engine(method, backend, &MufValue::Nil, &transition)
+                        .step(&Value::Float(0.5))
+                        .expect_err("a nil distribution argument must fail")
+                        .to_string()
+                };
+                let (e_interp, e_tape) = (step(ExecBackend::Interp), step(ExecBackend::Tape));
+                assert!(
+                    e_interp.contains("uninitialized distribution"),
+                    "{method:?}: unexpected error: {e_interp}"
+                );
+                assert_eq!(
+                    e_interp, e_tape,
+                    "{method:?}: the backends fail differently"
+                );
+            }
+        }
+    }
+
+    /// A distribution value read twice is a value in its own right: its
+    /// constructor stays a register write, and both consumers read it.
+    #[test]
+    fn distribution_read_twice_stays_unfused() {
+        // fun (s, y) -> let d = gaussian (s * 0.5, 1) in
+        //   let x = sample d in observe (d, y); (x, x)
+        let body = Rc::new(let_(
+            pvar("d"),
+            op(
+                OpName::Gaussian,
+                vec![op(OpName::Mul, vec![var("s"), float(0.5)]), float(1.0)],
+            ),
+            let_(
+                pvar("x"),
+                MufExpr::Sample(Box::new(var("d"))),
+                let_(
+                    MufPat::Wildcard,
+                    MufExpr::Observe(Box::new(var("d")), Box::new(var("y"))),
+                    tuple(vec![var("x"), var("x")]),
+                ),
+            ),
+        ));
+        let transition = closure(ptuple(vec![pvar("s"), pvar("y")]), &body, Env::empty());
+        let prog = lowered(&fv(0.0), &transition);
+        assert_eq!(
+            count(&prog, |op| matches!(
+                op,
+                Op::BinOp {
+                    op: OpName::Gaussian,
+                    ..
+                }
+            )),
+            1
+        );
+        assert_eq!(count(&prog, |op| matches!(op, Op::Sample { .. })), 1);
+        assert_eq!(count(&prog, |op| matches!(op, Op::Observe { .. })), 1);
+        assert_eq!(
+            count(&prog, |op| matches!(
+                op,
+                Op::SampleDist { .. } | Op::ObserveDist { .. }
+            )),
+            0,
+            "a shared distribution must not be fused"
+        );
+        for method in [Method::ParticleFilter, Method::StreamingDs] {
+            let status = run_both(method, &fv(0.0), &transition, &|_| None, &INPUTS);
+            assert_eq!(status, Ok(()), "{method:?}");
+        }
+    }
+
+    /// Fusion covers every constructor family, not just `gaussian`: the
+    /// coin's `beta` prior and `bernoulli` likelihood both fuse (its
+    /// posteriors are checked bitwise by `coin_posteriors_are_bit_identical`).
+    #[test]
+    fn coin_beta_and_bernoulli_are_fused() {
+        let compiled = compile_source_opt(&example("coin.zl")).expect("coin compiles");
+        let options = Options {
+            method: Method::StreamingDs,
+            seed: 0,
+            backend: ExecBackend::Tape,
+        };
+        let prog = compiled
+            .lower_node("coin", options)
+            .expect("lower_node runs")
+            .expect("coin lowers");
+        assert_eq!(
+            count(&prog, |op| matches!(
+                op,
+                Op::SampleDist {
+                    family: OpName::Beta,
+                    ..
+                }
+            )),
+            1,
+            "beta prior not fused"
+        );
+        assert_eq!(
+            count(&prog, |op| matches!(
+                op,
+                Op::ObserveDist {
+                    family: OpName::Bernoulli,
+                    ..
+                }
+            )),
+            1,
+            "bernoulli likelihood not fused"
+        );
+        assert_eq!(
+            count(&prog, |op| matches!(
+                op,
+                Op::Sample { .. } | Op::Observe { .. } | Op::UnOp { .. } | Op::BinOp { .. }
+            )),
+            0,
+            "a constructor or an unfused consumer is left"
+        );
     }
 }

@@ -69,11 +69,12 @@ fn robot_tape_matches_golden() {
 
 /// Structural invariants of the hmm tape that the golden file implies but
 /// a reviewer should not have to read opcodes to trust: the hot loop has
-/// exactly the model's one sample and one observe, and it is fully
-/// flattened — no residual closure application (`Eval`), no interpreter
-/// re-entry (`CallSummary`), and no tuple plumbing: the state and the
-/// prelude broadcast live in leaf registers, so nothing is projected out
-/// of a tuple or packed into one.
+/// exactly the model's one sample and one observe, each fused with its
+/// `gaussian` constructor (no distribution is boxed into a register), and
+/// it is fully flattened — no residual closure application (`Eval`), no
+/// interpreter re-entry (`CallSummary`), and no tuple plumbing: the state
+/// and the prelude broadcast live in leaf registers, so nothing is
+/// projected out of a tuple or packed into one.
 #[test]
 fn hmm_tape_is_fully_flattened() {
     let compiled = compile_source_opt(&example("hmm.zl")).expect("hmm compiles");
@@ -85,15 +86,18 @@ fn hmm_tape_is_fully_flattened() {
     let mut observes = 0;
     for op in &prog.ops {
         match op {
-            Op::Sample { .. } => samples += 1,
-            Op::Observe { .. } => observes += 1,
+            Op::SampleDist { .. } => samples += 1,
+            Op::ObserveDist { .. } => observes += 1,
+            Op::Sample { .. } | Op::Observe { .. } => {
+                panic!("unfused distribution in the hmm tape")
+            }
             Op::Eval { .. } => panic!("residual closure application in the hmm tape"),
             Op::CallSummary { .. } => panic!("interpreter re-entry in the hmm tape"),
             Op::Proj { .. } | Op::MkTuple { .. } => panic!("tuple plumbing in the hmm tape"),
             _ => {}
         }
     }
-    assert!(prog.ops.len() <= 8, "hmm tape has {} ops", prog.ops.len());
+    assert!(prog.ops.len() <= 5, "hmm tape has {} ops", prog.ops.len());
     assert_eq!(samples, 1, "hmm samples once per tick");
     assert_eq!(observes, 1, "hmm observes once per tick");
     // The driver node embeds `infer` and must stay on the interpreter.
@@ -109,9 +113,10 @@ fn hmm_tape_is_fully_flattened() {
 
 /// The robot tracker — the largest committed probabilistic node — also
 /// flattens completely, with its conditional GPS observation lowered to
-/// branches rather than closure calls, and (with its state split into
-/// leaves) carries no tuple plumbing either; the ceiling leaves no room
-/// for the state to come back as one packed slot.
+/// branches rather than closure calls, its three `gaussian`s fused into
+/// the sample and the two observes, and (with its state split into
+/// leaves) no tuple plumbing either; the ceiling leaves no room for the
+/// state to come back as one packed slot.
 #[test]
 fn robot_tracker_tape_is_fully_flattened() {
     let compiled = compile_source_opt(&example("robot.zl")).expect("robot compiles");
@@ -119,13 +124,18 @@ fn robot_tracker_tape_is_fully_flattened() {
         .lower_node("gps_acc_tracker", options())
         .expect("lower_node runs")
         .expect("gps_acc_tracker lowers");
-    assert!(
-        prog.ops.iter().any(|op| matches!(op, Op::Sample { .. })),
-        "tracker tape has no sample op"
+    let count = |f: fn(&Op) -> bool| prog.ops.iter().filter(|op| f(op)).count();
+    let samples = count(|op| matches!(op, Op::Sample { .. } | Op::SampleDist { .. }));
+    let observes = count(|op| matches!(op, Op::Observe { .. } | Op::ObserveDist { .. }));
+    let fused = count(|op| matches!(op, Op::SampleDist { .. } | Op::ObserveDist { .. }));
+    assert_eq!(samples, 1, "tracker samples the acceleration once per tick");
+    assert_eq!(
+        observes, 2,
+        "tracker observes the accelerometer and the GPS"
     );
-    assert!(
-        prog.ops.iter().any(|op| matches!(op, Op::Observe { .. })),
-        "tracker tape has no observe op"
+    assert_eq!(
+        fused, 3,
+        "every tracker distribution is fused into its consumer"
     );
     assert!(
         !prog
