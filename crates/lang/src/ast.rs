@@ -139,6 +139,19 @@ impl OpName {
         }
     }
 
+    /// Whether the operator constructs a distribution (`gaussian`,
+    /// `beta`, `bernoulli`, ...).
+    pub fn is_distribution(&self) -> bool {
+        use OpName::*;
+        match self {
+            Gaussian | Beta | Bernoulli | Uniform | Gamma | Poisson | Exponential | Binomial
+            | Dirac => true,
+            Neg | Not | Fst | Snd | Exp | Log | Sqrt | Abs | FloatOfInt | MeanFloat
+            | VarianceFloat | DrawDist | Add | Sub | Mul | Div | Lt | Le | Gt | Ge | Eq | Ne
+            | And | Or | Min | Max | Prob => false,
+        }
+    }
+
     /// The operator invocable by name in source code (e.g. `exp(x)`), if
     /// any. Returns the name it is known under.
     pub fn from_ident(name: &str) -> Option<OpName> {

@@ -235,7 +235,7 @@ impl Interp {
             }
             MufExpr::If(c, t, f) => {
                 let vc = self.eval(env, c, prob)?;
-                match self.condition_value(vc, prob)? {
+                match self.condition_value(&vc, prob)? {
                     None => Err(LangError::new(
                         Stage::Eval,
                         "uninitialized condition; guard delays with `->`",
@@ -248,7 +248,7 @@ impl Interp {
                 let vc = self.eval(env, c, prob)?;
                 let vt = self.eval(env, t, prob)?;
                 let vf = self.eval(env, f, prob)?;
-                match self.condition_value(vc, prob)? {
+                match self.condition_value(&vc, prob)? {
                     None => Ok(MufValue::Nil),
                     Some(true) => Ok(vt),
                     Some(false) => Ok(vf),
@@ -393,16 +393,16 @@ impl Interp {
     /// value", Fig. 14), `nil` yields `None`.
     pub(crate) fn condition_value(
         self: &Rc<Self>,
-        v: MufValue,
+        v: &MufValue,
         prob: &mut ProbSlot<'_>,
     ) -> Result<Option<bool>, LangError> {
         match v {
-            MufValue::V(Value::Bool(b)) => Ok(Some(b)),
+            MufValue::V(Value::Bool(b)) => Ok(Some(*b)),
             MufValue::Nil => Ok(None),
             MufValue::V(sym @ (Value::Rv(_) | Value::Aff(_))) => match prob {
-                ProbSlot::Prob(ctx) => Ok(Some(
-                    ctx.force(&sym).map_err(host)?.as_bool().map_err(host)?,
-                )),
+                ProbSlot::Prob(ctx) => {
+                    Ok(Some(ctx.force(sym).map_err(host)?.as_bool().map_err(host)?))
+                }
                 ProbSlot::Det => Err(LangError::new(
                     Stage::Eval,
                     "symbolic condition outside of `infer`",
@@ -473,15 +473,6 @@ impl Interp {
         args: &[&MufValue],
         prob: &mut ProbSlot<'_>,
     ) -> Result<MufValue, LangError> {
-        // Float operands go straight to the operator: none of the checks
-        // below can fire on them.
-        match args {
-            [MufValue::V(a @ Value::Float(_))] => return self.core_op_forcing(op, &[a], prob),
-            [MufValue::V(a @ Value::Float(_)), MufValue::V(b @ Value::Float(_))] => {
-                return self.core_op_forcing(op, &[a, b], prob);
-            }
-            _ => {}
-        }
         // Nil poison propagates through strict operators.
         if args.iter().any(|a| a.is_nil()) {
             return Ok(MufValue::Nil);
@@ -518,24 +509,8 @@ impl Interp {
                 };
             }
         }
-        // Core value operators: up to three data operands are borrowed in
-        // place; anything else (interpreter tuples folded to core pairs)
-        // takes the owned conversion, which also reports the errors.
-        let mut view: [&Value; 3] = [&Value::Unit; 3];
-        let direct = args.len() <= view.len()
-            && args.iter().zip(view.iter_mut()).all(|(a, slot)| match a {
-                MufValue::V(v) => {
-                    *slot = v;
-                    true
-                }
-                _ => false,
-            });
-        if direct {
-            return self.core_op_forcing(op, &view[..args.len()], prob);
-        }
-        let owned: Vec<Value> = args.iter().map(|a| a.as_core()).collect::<Result<_, _>>()?;
-        let refs: Vec<&Value> = owned.iter().collect();
-        self.core_op_forcing(op, &refs, prob)
+        // Core value operators.
+        with_core_args(args, |vals| self.core_op_forcing(op, vals, prob))?
     }
 
     /// [`core_op`], realizing symbolic operands and retrying once when a
@@ -719,6 +694,32 @@ pub(crate) fn core_op(
             dist_expr(op, v).expect("a distribution constructor"),
         )),
     }
+}
+
+/// Calls `f` on the core values of `args`: up to three data operands are
+/// borrowed in place; anything else (interpreter tuples folded to core
+/// pairs) takes the owned `as_core` conversion, which also reports the
+/// errors. Shared by [`Interp::eval_op_ref`] and the tape's fused
+/// `sample`/`observe` ops, so both convert their operands alike.
+pub(crate) fn with_core_args<R>(
+    args: &[&MufValue],
+    f: impl FnOnce(&[&Value]) -> R,
+) -> Result<R, LangError> {
+    let mut view: [&Value; 3] = [&Value::Unit; 3];
+    let direct = args.len() <= view.len()
+        && args.iter().zip(view.iter_mut()).all(|(a, slot)| match a {
+            MufValue::V(v) => {
+                *slot = v;
+                true
+            }
+            _ => false,
+        });
+    if direct {
+        return Ok(f(&view[..args.len()]));
+    }
+    let owned: Vec<Value> = args.iter().map(|a| a.as_core()).collect::<Result<_, _>>()?;
+    let refs: Vec<&Value> = owned.iter().collect();
+    Ok(f(&refs))
 }
 
 /// The distribution constructor table: the distribution `op` builds from

@@ -29,7 +29,9 @@
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
-use crate::eval::{dist_expr, outside_infer, uninitialized_dist, Interp, ModelState, ProbSlot};
+use crate::eval::{
+    dist_expr, outside_infer, uninitialized_dist, with_core_args, Interp, ModelState, ProbSlot,
+};
 use crate::muf::{MufPat, MufValue};
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::{DistExpr, Value};
@@ -792,10 +794,7 @@ fn exec(
                 regs[*dst as usize] = v;
             }
             Op::Select { dst, cond, t, f } => {
-                let c = match &regs[*cond as usize] {
-                    MufValue::V(Value::Bool(b)) => Some(*b),
-                    other => interp.condition_value(other.clone(), prob)?,
-                };
+                let c = interp.condition_value(&regs[*cond as usize], prob)?;
                 let v = match c {
                     None => MufValue::Nil,
                     Some(true) => regs[*t as usize].clone(),
@@ -859,10 +858,7 @@ fn exec(
                 continue;
             }
             Op::JmpIfNot { cond, target } => {
-                let c = match &regs[*cond as usize] {
-                    MufValue::V(Value::Bool(b)) => Some(*b),
-                    other => interp.condition_value(other.clone(), prob)?,
-                };
+                let c = interp.condition_value(&regs[*cond as usize], prob)?;
                 match c {
                     None => {
                         return Err(LangError::new(
@@ -939,33 +935,17 @@ fn dist_of(v: &MufValue) -> Result<&DistExpr, LangError> {
 /// The distribution of a fused constructor, built on the stack with the
 /// errors of the unfused constructor op followed by [`dist_of`]: a `nil`
 /// argument makes the constructor yield `nil`, so the distribution is
-/// uninitialized; other non-core arguments take the owned `as_core` path
-/// of [`Interp::eval_op_ref`].
+/// uninitialized; other arguments convert as in [`Interp::eval_op_ref`].
 fn fused_dist(family: OpName, args: &[Reg], regs: &[MufValue]) -> Result<DistExpr, LangError> {
-    if args.iter().any(|&r| regs[r as usize].is_nil()) {
+    let mut view: [&MufValue; 2] = [&MufValue::Nil; 2];
+    for (slot, &r) in view.iter_mut().zip(args) {
+        *slot = &regs[r as usize];
+    }
+    let view = &view[..args.len()];
+    if view.iter().any(|a| a.is_nil()) {
         return Err(uninitialized_dist());
     }
-    let mut view: [&Value; 2] = [&Value::Unit; 2];
-    let direct = args.len() <= view.len()
-        && args
-            .iter()
-            .zip(view.iter_mut())
-            .all(|(&r, slot)| match &regs[r as usize] {
-                MufValue::V(v) => {
-                    *slot = v;
-                    true
-                }
-                _ => false,
-            });
-    let d = if direct {
-        dist_expr(family, &view[..args.len()])
-    } else {
-        let owned: Vec<Value> = args
-            .iter()
-            .map(|&r| regs[r as usize].as_core())
-            .collect::<Result<_, _>>()?;
-        dist_expr(family, &owned.iter().collect::<Vec<_>>())
-    };
+    let d = with_core_args(view, |vals| dist_expr(family, vals))?;
     Ok(d.expect("lowering fuses distribution constructors only"))
 }
 

@@ -984,8 +984,12 @@ fn fuse_dists(prog: &mut TapeProgram) {
     let mut fusions = Vec::new();
     for (i, op) in prog.ops.iter().enumerate() {
         let (family, ctor, args) = match op {
-            Op::UnOp { op, dst, a } if dist_arity(*op) == Some(1) => (*op, *dst, vec![*a]),
-            Op::BinOp { op, dst, a, b } if dist_arity(*op) == Some(2) => (*op, *dst, vec![*a, *b]),
+            Op::UnOp { op, dst, a } if op.is_distribution() && op.arity() == 1 => {
+                (*op, *dst, vec![*a])
+            }
+            Op::BinOp { op, dst, a, b } if op.is_distribution() && op.arity() == 2 => {
+                (*op, *dst, vec![*a, *b])
+            }
             _ => continue,
         };
         let d = ctor as usize;
@@ -1024,17 +1028,6 @@ fn fuse_dists(prog: &mut TapeProgram) {
         keep[i] = false;
     }
     retain_ops(prog, &keep);
-}
-
-/// The number of arguments of a distribution constructor; `None` for
-/// every other operator.
-fn dist_arity(op: OpName) -> Option<usize> {
-    use OpName::*;
-    match op {
-        Gaussian | Beta | Bernoulli | Uniform | Gamma | Poisson | Exponential | Binomial
-        | Dirac => Some(op.arity()),
-        _ => None,
-    }
 }
 
 /// Drops the ops whose `keep` flag is false and retargets the jumps: a
